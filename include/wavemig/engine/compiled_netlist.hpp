@@ -83,7 +83,7 @@ public:
   /// Majority operations in the combinational program (after optimization).
   [[nodiscard]] std::size_t num_comb_ops() const { return comb_ops_.size(); }
   /// The combinational program itself, in execution order. Exposed so
-  /// schedulers and tests can audit op order and operand liveness.
+  /// tests can audit op order and operand liveness.
   [[nodiscard]] const std::vector<maj_op>& comb_ops() const { return comb_ops_; }
   /// Value slots of the combinational program: 1 (constant) + PIs + gate
   /// slots. This is the scratch working set of the packed kernel, per word
@@ -92,8 +92,8 @@ public:
   [[nodiscard]] std::size_t comb_slot_count() const { return comb_slot_count_; }
   /// The options this program was compiled with.
   [[nodiscard]] compile_options options() const { return options_; }
-  /// What the optimizer did (all zeros when opt level and schedule level
-  /// are both 0, where `*_before` still describes the raw lowering).
+  /// What the optimizer did (all zeros at opt level 0, where `*_before`
+  /// still describes the raw lowering).
   [[nodiscard]] const optimizer_stats& opt_stats() const { return opt_stats_; }
   /// Physical components in the tick program.
   [[nodiscard]] std::size_t num_tick_ops() const { return tick_ops_.size(); }
@@ -144,13 +144,6 @@ public:
     return read_slot(slots, comb_po_refs_[position]);
   }
 
-  /// Bit-parallel evaluation of 64 input patterns: `pi_words[i]` packs 64
-  /// values of PI i, one output word per PO is appended to `po_words`.
-  /// `slots` is reusable scratch — the single-word (W=1) form of the packed
-  /// kernel.
-  void eval_words_into(const std::uint64_t* pi_words, std::uint64_t* po_words,
-                       std::vector<std::uint64_t>& slots) const;
-
   /// Word-blocks the multi-word kernel evaluates per pass: up to 8 chunks
   /// (512 waves) flow through the program together, so each op's three
   /// loads and one store amortize over 8 words — the software analogue of
@@ -186,25 +179,17 @@ public:
   /// (the layout of `wave_batch::view()` / `packed_wave_result`). Each
   /// block's PI words load into the slot-major kernel blocks with unit
   /// stride (one contiguous W-word copy per PI) and PO words store the same
-  /// way — no strided gather or scatter anywhere. Uses unrolled portable
-  /// kernels for every width plus the runtime-dispatched AVX2 / NEON paths
-  /// when built in (WAVEMIG_ENABLE_AVX2 / WAVEMIG_ENABLE_NEON). `slots` is
-  /// reusable scratch; results are bit-identical to `eval_words_into` per
-  /// chunk, modulo layout.
+  /// way — no strided gather or scatter anywhere. One majority kernel
+  /// template serves every block width; on x86-64 it runs as AVX2 where the
+  /// CPU has it. `slots` is reusable scratch; results are bit-identical
+  /// across block widths (a one-chunk call with both strides 1 is the
+  /// 64-pattern form behind `eval_words`).
   void eval_planes_block(const std::uint64_t* pi_planes, std::size_t pi_stride,
                          std::uint64_t* po_planes, std::size_t po_stride,
                          std::size_t num_chunks, std::vector<std::uint64_t>& slots) const;
 
-  /// Legacy chunk-major adapter of `eval_planes_block`: both sides laid out
-  /// `words[c * num_signals + s]` — chunk c's inputs at
-  /// `pi_words + c * num_pis()`, its outputs at `po_words + c * num_pos()`.
-  /// Pays a strided per-PI gather and per-PO scatter at every block
-  /// boundary; kept for consumers still holding chunk-major words.
-  /// Bit-identical to calling `eval_words_into` once per chunk.
-  void eval_words_block(const std::uint64_t* pi_words, std::uint64_t* po_words,
-                        std::size_t num_chunks, std::vector<std::uint64_t>& slots) const;
-
-  /// Convenience wrapper; validates the input width.
+  /// Bit-parallel evaluation of 64 input patterns: `pi_words[i]` packs 64
+  /// values of PI i; returns one word per PO. Validates the input width.
   [[nodiscard]] std::vector<std::uint64_t> eval_words(
       const std::vector<std::uint64_t>& pi_words) const;
 
@@ -240,8 +225,8 @@ private:
   void lower(const mig_network& net, const level_map* schedule);
 
   /// Runs the post-lowering optimizer over the combinational program
-  /// (optimizer.cpp), reading options_ (opt_level + schedule_level). Fills
-  /// opt_stats_; a no-op when both levels are 0.
+  /// (optimizer.cpp), reading options_.opt_level. Fills opt_stats_; a
+  /// no-op at level 0.
   void optimize();
 
   compile_options options_{};

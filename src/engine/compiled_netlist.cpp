@@ -1,7 +1,6 @@
 #include "wavemig/engine/compiled_netlist.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -18,90 +17,50 @@ namespace wavemig::engine {
 
 namespace {
 
-/// One pass of the majority program over a W-word slot block: the width
-/// dispatch shared by the plane-major and chunk-major entries. W = 4 and
-/// W = 8 go to the SIMD instances (AVX2 / NEON) when built in and supported
-/// at runtime; every width has a fully unrolled portable kernel.
-void run_ops_block(const compiled_netlist::maj_op* ops, std::size_t num_ops,
-                   std::uint64_t* slots, std::size_t w) {
+// The kernel's ISA choice. On x86-64 GCC/Clang the width switch is cloned
+// for AVX2 and for the baseline ISA, and the loader picks the clone the CPU
+// supports; elsewhere (AArch64 ASIMD included) it is one plain function
+// vectorized by -O3. ThreadSanitizer builds skip the clones: GCC
+// instruments the loader-time resolver with TSan calls, which crash before
+// the TSan runtime is up.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(__SANITIZE_THREAD__)
+#define WAVEMIG_KERNEL_CLONES __attribute__((target_clones("avx2", "default"), flatten))
+#else
+#define WAVEMIG_KERNEL_CLONES
+#endif
+
+/// One pass of the majority program over a W-word slot block: the single
+/// width switch, instantiating detail::eval_ops for W = 1..8. `flatten`
+/// inlines the instances into each clone, so they compile for its ISA.
+WAVEMIG_KERNEL_CLONES void run_ops_block(
+    const compiled_netlist::maj_op* ops, std::size_t num_ops, std::uint64_t* slots,
+    std::size_t w) {
   switch (w) {
     case 8:
-#if defined(WAVEMIG_HAVE_AVX2)
-      if (detail::avx2_supported()) {
-        detail::eval_ops_avx2_w8(ops, num_ops, slots);
-        break;
-      }
-#endif
-#if defined(WAVEMIG_HAVE_NEON)
-      if (detail::neon_supported()) {
-        detail::eval_ops_neon_w8(ops, num_ops, slots);
-        break;
-      }
-#endif
-      detail::eval_ops_portable<8>(ops, num_ops, slots);
-      break;
-    case 4:
-#if defined(WAVEMIG_HAVE_AVX2)
-      if (detail::avx2_supported()) {
-        detail::eval_ops_avx2_w4(ops, num_ops, slots);
-        break;
-      }
-#endif
-#if defined(WAVEMIG_HAVE_NEON)
-      if (detail::neon_supported()) {
-        detail::eval_ops_neon_w4(ops, num_ops, slots);
-        break;
-      }
-#endif
-      detail::eval_ops_portable<4>(ops, num_ops, slots);
+      detail::eval_ops<8>(ops, num_ops, slots);
       break;
     case 7:
-      detail::eval_ops_portable<7>(ops, num_ops, slots);
+      detail::eval_ops<7>(ops, num_ops, slots);
       break;
     case 6:
-      detail::eval_ops_portable<6>(ops, num_ops, slots);
+      detail::eval_ops<6>(ops, num_ops, slots);
       break;
     case 5:
-      detail::eval_ops_portable<5>(ops, num_ops, slots);
+      detail::eval_ops<5>(ops, num_ops, slots);
+      break;
+    case 4:
+      detail::eval_ops<4>(ops, num_ops, slots);
       break;
     case 3:
-      detail::eval_ops_portable<3>(ops, num_ops, slots);
+      detail::eval_ops<3>(ops, num_ops, slots);
       break;
     case 2:
-      detail::eval_ops_portable<2>(ops, num_ops, slots);
+      detail::eval_ops<2>(ops, num_ops, slots);
       break;
     default:
-      detail::eval_ops_portable<1>(ops, num_ops, slots);
+      detail::eval_ops<1>(ops, num_ops, slots);
       break;
-  }
-}
-
-/// Op-group grain of the software-pipelined kernel loop: while one group
-/// computes, the next group's operand slot words are prefetched. 32 ops is
-/// ~enough majority work (32*W word-lanes) to hide an L2 miss without the
-/// prefetched lines aging out of L1 before their group runs.
-constexpr std::size_t op_prefetch_group = 32;
-
-/// The kernel pass of one W-word block, optionally software-pipelined
-/// (compile_options::op_prefetch): the op program runs in groups of
-/// `op_prefetch_group`, prefetching the next group's operand blocks while
-/// the current group computes. Pays off when the slot working set outruns
-/// L2 (unrecycled or very wide programs); small programs skip the group
-/// loop entirely — one group would mean pure overhead.
-void run_ops_block_pipelined(const compiled_netlist::maj_op* ops, std::size_t num_ops,
-                             std::uint64_t* slots, std::size_t w, bool prefetch) {
-  if (!prefetch || num_ops <= 2 * op_prefetch_group) {
-    run_ops_block(ops, num_ops, slots, w);
-    return;
-  }
-  for (std::size_t off = 0; off < num_ops; off += op_prefetch_group) {
-    const std::size_t g = std::min(op_prefetch_group, num_ops - off);
-    const std::size_t ahead = off + g;
-    if (ahead < num_ops) {
-      detail::prefetch_ops_operands(ops + ahead, std::min(op_prefetch_group, num_ops - ahead),
-                                    slots, w);
-    }
-    run_ops_block(ops + off, g, slots, w);
   }
 }
 
@@ -237,18 +196,6 @@ std::size_t compiled_netlist::memory_bytes() const {
          vec_bytes(po_levels_) + (po_constant_.capacity() + 7) / 8;
 }
 
-void compiled_netlist::eval_words_into(const std::uint64_t* pi_words, std::uint64_t* po_words,
-                                       std::vector<std::uint64_t>& slots) const {
-  slots.resize(comb_slot_count_);
-  slots[0] = 0;
-  std::copy(pi_words, pi_words + num_pis_, slots.begin() + 1);
-  detail::eval_ops_portable<1>(comb_ops_.data(), comb_ops_.size(), slots.data());
-  for (std::size_t p = 0; p < num_pos_; ++p) {
-    const slot_ref ref = comb_po_refs_[p];
-    po_words[p] = slots[ref >> 1] ^ complement_mask(ref);
-  }
-}
-
 void compiled_netlist::eval_planes_block(const std::uint64_t* pi_planes, std::size_t pi_stride,
                                          std::uint64_t* po_planes, std::size_t po_stride,
                                          std::size_t num_chunks,
@@ -279,7 +226,7 @@ void compiled_netlist::eval_planes_block(const std::uint64_t* pi_planes, std::si
       }
     }
 
-    run_ops_block_pipelined(comb_ops_.data(), comb_ops_.size(), s, w, options_.op_prefetch);
+    run_ops_block(comb_ops_.data(), comb_ops_.size(), s, w);
 
     for (std::size_t p = 0; p < num_pos_; ++p) {
       const slot_ref ref = comb_po_refs_[p];
@@ -297,39 +244,6 @@ void compiled_netlist::eval_planes_block(const std::uint64_t* pi_planes, std::si
   }
 }
 
-void compiled_netlist::eval_words_block(const std::uint64_t* pi_words,
-                                        std::uint64_t* po_words, std::size_t num_chunks,
-                                        std::vector<std::uint64_t>& slots) const {
-  for (std::size_t done = 0; done < num_chunks;) {
-    const std::size_t w = std::min(max_block_chunks, num_chunks - done);
-    const std::uint64_t* pi = pi_words + done * num_pis_;
-    std::uint64_t* po = po_words + done * num_pos_;
-
-    // Slot-major W-word blocks: slot s occupies slots[s*w .. s*w + w).
-    slots.resize(static_cast<std::size_t>(comb_slot_count_) * w);
-    std::uint64_t* s = slots.data();
-    std::fill(s, s + w, 0);  // constant slot
-    for (std::size_t i = 0; i < num_pis_; ++i) {
-      std::uint64_t* pi_slot = s + (1 + i) * w;
-      for (std::size_t j = 0; j < w; ++j) {
-        pi_slot[j] = pi[j * num_pis_ + i];  // gather: chunk-major -> slot-major
-      }
-    }
-
-    run_ops_block(comb_ops_.data(), comb_ops_.size(), s, w);
-
-    for (std::size_t p = 0; p < num_pos_; ++p) {
-      const slot_ref ref = comb_po_refs_[p];
-      const std::uint64_t* out_slot = s + static_cast<std::size_t>(ref >> 1) * w;
-      const std::uint64_t mask = complement_mask(ref);
-      for (std::size_t j = 0; j < w; ++j) {
-        po[j * num_pos_ + p] = out_slot[j] ^ mask;  // scatter back to chunk-major
-      }
-    }
-    done += w;
-  }
-}
-
 std::vector<std::uint64_t> compiled_netlist::eval_words(
     const std::vector<std::uint64_t>& pi_words) const {
   if (pi_words.size() != num_pis_) {
@@ -337,7 +251,7 @@ std::vector<std::uint64_t> compiled_netlist::eval_words(
   }
   std::vector<std::uint64_t> po_words(num_pos_);
   std::vector<std::uint64_t> slots;
-  eval_words_into(pi_words.data(), po_words.data(), slots);
+  eval_planes_block(pi_words.data(), 1, po_words.data(), 1, 1, slots);
   return po_words;
 }
 

@@ -78,8 +78,8 @@ bool functionally_equivalent(const mig_network& a, const mig_network& b, unsigne
     for (auto& w : words) {
       w = rng();
     }
-    ca.eval_words_into(words.data(), out_a.data(), scratch_a);
-    cb.eval_words_into(words.data(), out_b.data(), scratch_b);
+    ca.eval_planes_block(words.data(), 1, out_a.data(), 1, 1, scratch_a);
+    cb.eval_planes_block(words.data(), 1, out_b.data(), 1, 1, scratch_b);
     if (out_a != out_b) {
       return false;
     }

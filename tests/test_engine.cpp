@@ -243,52 +243,13 @@ TEST(wave_stream, finish_resets_for_full_reuse) {
   EXPECT_EQ(second.ticks, reference.ticks);
 }
 
-TEST(wave_batch, append_words_matches_per_wave_append) {
-  const std::size_t num_pis = 7;
-  const auto waves = random_waves(300, num_pis, 911);
-  const auto packed = engine::wave_batch::from_waves(waves, num_pis);
-
-  // Aligned bulk append: empty batch, multiple chunks, partial tail.
-  const auto chunk_major = packed.chunk_major_words();
-  engine::wave_batch aligned{num_pis};
-  aligned.append_words(chunk_major.data(), waves.size());
-  ASSERT_EQ(aligned.num_waves(), waves.size());
-  for (std::size_t w = 0; w < waves.size(); ++w) {
-    for (std::size_t i = 0; i < num_pis; ++i) {
-      ASSERT_EQ(aligned.input(w, i), waves[w][i]) << "wave " << w << " pi " << i;
-    }
-  }
-
-  // Unaligned bulk append: a few per-bool waves first, then the bulk words
-  // spliced at every offset class (1, 63, 64-crossing).
-  for (const std::size_t prefix : {1ull, 37ull, 63ull, 64ull, 65ull}) {
-    engine::wave_batch spliced{num_pis};
-    for (std::size_t w = 0; w < prefix; ++w) {
-      spliced.append(waves[w]);
-    }
-    spliced.append_words(chunk_major.data(), waves.size());
-    ASSERT_EQ(spliced.num_waves(), prefix + waves.size());
-    for (std::size_t w = 0; w < prefix + waves.size(); ++w) {
-      const auto& expect = w < prefix ? waves[w] : waves[w - prefix];
-      for (std::size_t i = 0; i < num_pis; ++i) {
-        ASSERT_EQ(spliced.input(w, i), expect[i]) << "prefix " << prefix << " wave " << w;
-      }
-    }
-    // Appending after an unaligned bulk append still lines up.
-    spliced.append(waves[0]);
-    for (std::size_t i = 0; i < num_pis; ++i) {
-      ASSERT_EQ(spliced.input(prefix + waves.size(), i), waves[0][i]);
-    }
-  }
-}
-
-TEST(wave_batch, append_words_ignores_stray_bits_above_num_waves) {
+TEST(wave_batch, append_planes_ignores_stray_bits_above_num_waves) {
   // The caller's last chunk may carry garbage above num_waves; those bits
   // must not leak into waves appended later.
   const std::size_t num_pis = 3;
-  std::vector<std::uint64_t> words(num_pis, ~std::uint64_t{0});  // all-ones chunk
+  std::vector<std::uint64_t> words(num_pis, ~std::uint64_t{0});  // all-ones planes
   engine::wave_batch batch{num_pis};
-  batch.append_words(words.data(), 5);  // only waves 0..4 are real
+  batch.append_planes(words.data(), 1, 5);  // only waves 0..4 are real
   batch.append({false, false, false});
   EXPECT_EQ(batch.num_waves(), 6u);
   for (std::size_t i = 0; i < num_pis; ++i) {
@@ -313,41 +274,49 @@ TEST(wave_batch, clear_keeps_storage_reusable) {
   }
 }
 
-TEST(packed_kernel, block_evaluation_is_bit_identical_to_per_chunk) {
-  // Every block width the kernel dispatches (1..8 chunks, plus a >8 run
-  // that splits internally) must reproduce the single-word kernel exactly.
-  const auto balanced = insert_buffers(gen::random_mig({12, 150, 0.5, 10, 2024})).net;
-  const engine::compiled_netlist compiled{balanced};
-
-  for (const std::size_t num_waves :
-       {1ull, 64ull, 129ull, 256ull, 320ull, 448ull, 512ull, 513ull, 1200ull}) {
-    const auto waves = random_waves(num_waves, balanced.num_pis(), num_waves * 13 + 1);
-    const auto batch = engine::wave_batch::from_waves(waves, balanced.num_pis());
-
-    const auto chunk_major = batch.chunk_major_words();
-    std::vector<std::uint64_t> reference(batch.num_chunks() * compiled.num_pos());
-    std::vector<std::uint64_t> scratch;
-    for (std::size_t c = 0; c < batch.num_chunks(); ++c) {
-      engine::eval_packed_chunk(compiled, chunk_major.data() + c * compiled.num_pis(),
-                                reference.data() + c * compiled.num_pos(), scratch);
-    }
-
-    std::vector<std::uint64_t> blocked(batch.num_chunks() * compiled.num_pos());
-    engine::eval_packed_block(compiled, chunk_major.data(), blocked.data(),
-                              batch.num_chunks(), scratch);
-    EXPECT_EQ(blocked, reference) << num_waves << " waves";
-
-    // The native plane-major entry must agree with both chunk-major paths
-    // modulo layout.
-    std::vector<std::uint64_t> planes(batch.num_chunks() * compiled.num_pos());
-    engine::eval_packed_planes(
-        compiled, batch.view(),
-        {planes.data(), batch.num_chunks(), compiled.num_pos(), batch.num_chunks()},
-        scratch);
-    for (std::size_t c = 0; c < batch.num_chunks(); ++c) {
-      for (std::size_t p = 0; p < compiled.num_pos(); ++p) {
-        ASSERT_EQ(planes[p * batch.num_chunks() + c], reference[c * compiled.num_pos() + p])
-            << num_waves << " waves, chunk " << c << " po " << p;
+TEST(packed_kernel, every_block_width_matches_per_chunk_eval) {
+  // num_chunks 1..17 runs each kernel width W = 1..8 both as a block of its
+  // own (num_chunks == W, or 8 for the full blocks) and as the tail block
+  // after full 8-chunk blocks (num_chunks == 8 + W). Both views use a
+  // plane stride above the chunk count. The reference is the generic
+  // per-chunk evaluator on std::uint64_t, which shares no code with the
+  // packed kernel.
+  for (const std::uint64_t seed : {2024ull, 77ull}) {
+    const auto balanced = insert_buffers(gen::random_mig({12, 150, 0.5, 10, seed})).net;
+    for (const unsigned opt : {0u, 2u}) {
+      const engine::compiled_netlist compiled{balanced, {.opt_level = opt}};
+      if (opt == 2) {
+        // Slot recycling lets an op overwrite one of its own operands; the
+        // sweep must exercise that in-place case.
+        const auto& ops = compiled.comb_ops();
+        EXPECT_TRUE(std::any_of(ops.begin(), ops.end(), [](const auto& o) {
+          return o.target == o.a >> 1 || o.target == o.b >> 1 || o.target == o.c >> 1;
+        })) << "seed " << seed;
+      }
+      const std::size_t num_pis = compiled.num_pis();
+      const std::size_t num_pos = compiled.num_pos();
+      std::mt19937_64 rng{seed * 31 + opt};
+      std::vector<std::uint64_t> scratch;
+      std::vector<std::uint64_t> slots;
+      for (std::size_t num_chunks = 1; num_chunks <= 17; ++num_chunks) {
+        const std::size_t pi_stride = num_chunks + 3;
+        const std::size_t po_stride = num_chunks + 1;
+        std::vector<std::uint64_t> pis(num_pis * pi_stride);
+        for (auto& w : pis) {
+          w = rng();
+        }
+        std::vector<std::uint64_t> pos(num_pos * po_stride, 0);
+        engine::eval_packed_planes(compiled, {pis.data(), pi_stride, num_pis, num_chunks},
+                                   {pos.data(), po_stride, num_pos, num_chunks}, scratch);
+        for (std::size_t c = 0; c < num_chunks; ++c) {
+          compiled.eval([&](std::uint32_t i) { return pis[i * pi_stride + c]; },
+                        std::uint64_t{0}, slots);
+          for (std::size_t p = 0; p < num_pos; ++p) {
+            ASSERT_EQ(pos[p * po_stride + c], compiled.po_value(slots, p))
+                << "seed " << seed << ", opt " << opt << ", " << num_chunks << " chunks, chunk "
+                << c << ", po " << p;
+          }
+        }
       }
     }
   }
@@ -479,10 +448,9 @@ TEST(wave_batch, plane_view_exposes_the_transposed_words) {
   }
 }
 
-/// Satellite audit of the tail-chunk masking contract: at every
-/// non-multiple-of-64 wave count, per-bool append, chunk-major bulk append,
-/// plane-major bulk append and result unpack must mask identically — no
-/// stray bits above num_waves anywhere in the new layout.
+/// Tail-chunk masking contract: at every non-multiple-of-64 wave count,
+/// per-bool append, plane-major bulk append, plane adoption and result
+/// unpack must mask identically — no stray bits above num_waves anywhere.
 TEST(wave_batch, tail_chunks_mask_identically_across_ingestion_paths) {
   const std::size_t num_pis = 6;
   for (const std::size_t num_waves : {1ull, 63ull, 64ull, 65ull, 511ull}) {
@@ -490,8 +458,7 @@ TEST(wave_batch, tail_chunks_mask_identically_across_ingestion_paths) {
     const auto reference = engine::wave_batch::from_waves(waves, num_pis);
     ASSERT_EQ(reference.num_chunks(), (num_waves + 63) / 64);
 
-    // Poison the unused tail bits of both bulk inputs: they must be ignored.
-    auto chunk_major = reference.chunk_major_words();
+    // Poison the unused tail bits of the bulk input: they must be ignored.
     auto plane_major =
         std::vector<std::uint64_t>(reference.num_chunks() * num_pis, 0);
     for (std::size_t i = 0; i < num_pis; ++i) {
@@ -501,20 +468,16 @@ TEST(wave_batch, tail_chunks_mask_identically_across_ingestion_paths) {
     if (num_waves % 64 != 0) {
       const std::uint64_t poison = ~((std::uint64_t{1} << (num_waves % 64)) - 1);
       for (std::size_t i = 0; i < num_pis; ++i) {
-        chunk_major[(reference.num_chunks() - 1) * num_pis + i] |= poison;
         plane_major[i * reference.num_chunks() + reference.num_chunks() - 1] |= poison;
       }
     }
 
-    engine::wave_batch from_chunks{num_pis};
-    from_chunks.append_words(chunk_major.data(), num_waves);
     engine::wave_batch from_planes{num_pis};
     from_planes.append_planes(plane_major.data(), reference.num_chunks(), num_waves);
     const auto adopted =
         engine::wave_batch::from_plane_words(plane_major, num_pis, num_waves);
 
-    for (const engine::wave_batch* batch :
-         {&std::as_const(from_chunks), &std::as_const(from_planes), &adopted}) {
+    for (const engine::wave_batch* batch : {&std::as_const(from_planes), &adopted}) {
       ASSERT_EQ(batch->num_waves(), num_waves);
       for (std::size_t i = 0; i < num_pis; ++i) {
         for (std::size_t c = 0; c < batch->num_chunks(); ++c) {
@@ -544,29 +507,44 @@ TEST(wave_batch, tail_chunks_mask_identically_across_ingestion_paths) {
   }
 }
 
-TEST(wave_batch, append_planes_matches_append_words) {
+TEST(wave_batch, append_planes_matches_per_wave_append) {
   const std::size_t num_pis = 9;
   const auto waves = random_waves(150, num_pis, 71);
   const auto packed = engine::wave_batch::from_waves(waves, num_pis);
-  const auto chunk_major = packed.chunk_major_words();
 
-  for (const std::size_t prefix : {0ull, 1ull, 63ull, 64ull, 100ull}) {
-    engine::wave_batch via_chunks{num_pis};
-    engine::wave_batch via_planes{num_pis};
+  // Aligned (prefix 0 and 64) and unaligned bulk appends: a few per-bool
+  // waves first, then the planes spliced at every offset class.
+  for (const std::size_t prefix : {0ull, 1ull, 37ull, 63ull, 64ull, 65ull, 100ull}) {
+    engine::wave_batch spliced{num_pis};
     for (std::size_t w = 0; w < prefix; ++w) {
-      via_chunks.append(waves[w]);
-      via_planes.append(waves[w]);
+      spliced.append(waves[w]);
     }
-    via_chunks.append_words(chunk_major.data(), waves.size());
-    via_planes.append_planes(packed.view().planes, packed.view().plane_stride, waves.size());
-    ASSERT_EQ(via_planes.num_waves(), via_chunks.num_waves()) << "prefix " << prefix;
-    for (std::size_t i = 0; i < num_pis; ++i) {
-      for (std::size_t c = 0; c < via_chunks.num_chunks(); ++c) {
-        ASSERT_EQ(via_planes.plane(i)[c], via_chunks.plane(i)[c])
-            << "prefix " << prefix << " pi " << i << " chunk " << c;
+    spliced.append_planes(packed.view().planes, packed.view().plane_stride, waves.size());
+    ASSERT_EQ(spliced.num_waves(), prefix + waves.size());
+    for (std::size_t w = 0; w < prefix + waves.size(); ++w) {
+      const auto& expect = w < prefix ? waves[w] : waves[w - prefix];
+      for (std::size_t i = 0; i < num_pis; ++i) {
+        ASSERT_EQ(spliced.input(w, i), expect[i]) << "prefix " << prefix << " wave " << w;
       }
     }
+    // Appending after a bulk append still lines up.
+    spliced.append(waves[0]);
+    for (std::size_t i = 0; i < num_pis; ++i) {
+      ASSERT_EQ(spliced.input(prefix + waves.size(), i), waves[0][i]);
+    }
   }
+}
+
+TEST(wave_batch, append_planes_rejects_a_short_plane_stride) {
+  // 130 waves need 3 chunk words per plane; a stride of 2 would make each
+  // plane read its neighbour's words and the last read past the buffer.
+  const std::size_t num_pis = 4;
+  const std::vector<std::uint64_t> planes(num_pis * 2, 0);
+  engine::wave_batch batch{num_pis};
+  EXPECT_THROW(batch.append_planes(planes.data(), 2, 130), std::invalid_argument);
+  EXPECT_EQ(batch.num_waves(), 0u);
+  batch.append_planes(planes.data(), 2, 128);  // 2 chunks: the stride fits
+  EXPECT_EQ(batch.num_waves(), 128u);
 }
 
 TEST(wave_batch, from_plane_words_adopts_and_validates) {
@@ -624,22 +602,6 @@ TEST(packed_waves, result_tail_bits_above_num_waves_are_zero) {
     for (std::size_t p = 0; p < streamed.num_pos; ++p) {
       EXPECT_EQ(streamed.plane(p)[streamed.num_chunks() - 1] & above, 0u)
           << num_waves << " waves (stream), po " << p;
-    }
-  }
-}
-
-TEST(packed_waves, chunk_major_adapter_round_trips_the_result) {
-  const auto balanced = insert_buffers(gen::multiplier_circuit(4)).net;
-  const engine::compiled_netlist compiled{balanced};
-  const auto waves = random_waves(130, balanced.num_pis(), 808);
-  const auto run = engine::run_waves_packed(
-      compiled, engine::wave_batch::from_waves(waves, balanced.num_pis()), 3);
-
-  const auto chunk_major = run.chunk_major_words();
-  ASSERT_EQ(chunk_major.size(), run.words.size());
-  for (std::size_t c = 0; c < run.num_chunks(); ++c) {
-    for (std::size_t p = 0; p < run.num_pos; ++p) {
-      ASSERT_EQ(chunk_major[c * run.num_pos + p], run.plane(p)[c]);
     }
   }
 }
