@@ -225,8 +225,10 @@ public:
   parallel_wave_stream(const parallel_wave_stream&) = delete;
   parallel_wave_stream& operator=(const parallel_wave_stream&) = delete;
 
-  /// Enqueues one wave; dispatches a block to the workers once
-  /// `block_waves` are pending.
+  /// Stages one wave as a bit row; once `block_waves` are staged, they are
+  /// transposed into a block (wave_batch::append_rows) and dispatched to
+  /// the workers. Throws std::invalid_argument on a width mismatch (the
+  /// stream stays usable).
   void push(const std::vector<bool>& wave);
 
   [[nodiscard]] std::size_t waves_pushed() const { return pushed_; }
@@ -259,7 +261,11 @@ private:
   unsigned phases_;
   parallel_executor& executor_;
   std::size_t expected_waves_;
-  wave_batch pending_;
+  /// Pushed waves not yet dispatched, as bit rows of row_words_ words each
+  /// (see wave_batch::append_rows); dispatch transposes them into the job.
+  std::size_t row_words_;
+  std::vector<std::uint64_t> rows_;
+  std::size_t staged_{0};
   std::deque<block_job> jobs_;  // deque: stable addresses for in-flight jobs
   /// Direct-write result storage (expected_waves_ != 0): num_pos planes of
   /// direct_stride_ words each; dispatched blocks write their chunk range

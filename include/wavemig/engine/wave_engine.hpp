@@ -73,9 +73,21 @@ public:
   [[nodiscard]] std::size_t num_chunks() const { return (num_waves_ + 63) / 64; }
   [[nodiscard]] bool empty() const { return num_waves_ == 0; }
 
-  /// Appends one wave (one bool per PI). Throws std::invalid_argument on a
-  /// width mismatch.
+  /// Appends one wave (one bool per PI): a one-row append_rows. Throws
+  /// std::invalid_argument on a width mismatch and leaves the batch as it
+  /// was. Bulk callers should prefer from_waves or append_rows, which
+  /// transpose 64 waves per tile instead of one.
   void append(const std::vector<bool>& wave);
+
+  /// Bulk-appends `num_waves` waves given as bit rows, the layout of a
+  /// vector<bool>'s storage: wave w's PI i is bit i % 64 of
+  /// `rows[w * row_words + i / 64]`. Bits at or above `num_pis()` in a row
+  /// are ignored. Each 64-wave x 64-PI tile goes through one 64x64 bit
+  /// transpose and is spliced in like append_planes, at any wave offset. This
+  /// is the one bit-row ingestion path: append, from_waves and the streams'
+  /// push all stage rows and call it. Throws std::invalid_argument when
+  /// `row_words` is below ceil(num_pis / 64).
+  void append_rows(const std::uint64_t* rows, std::size_t row_words, std::size_t num_waves);
 
   /// Bulk-appends `num_waves` packed waves given plane-major: PI i's words
   /// at `planes + i * plane_stride`, exactly the layout of `view()` /
@@ -131,6 +143,9 @@ public:
     return {words_.data(), chunk_capacity_, num_pis_, num_chunks()};
   }
 
+  /// Packs `waves` (one bool per PI each) through append_rows, reading each
+  /// vector<bool> 64 bits at a time. Throws std::invalid_argument on a
+  /// width mismatch.
   static wave_batch from_waves(const std::vector<std::vector<bool>>& waves, std::size_t num_pis);
 
 private:
@@ -176,9 +191,11 @@ struct packed_wave_result {
     return {words.data(), num_chunks(), num_pos, num_chunks()};
   }
 
-  /// Unpacks into the per-wave bool layout of wave_run_result::outputs —
-  /// a word-at-a-time transpose (each packed word is loaded once and its
-  /// 64 lanes distributed), not a per-(wave, output) bit probe.
+  /// Unpacks into the per-wave bool layout of wave_run_result::outputs:
+  /// each 64-wave x 64-PO tile goes through one 64x64 bit transpose and is
+  /// written into its 64 output rows a word at a time. Throws
+  /// std::invalid_argument unless `words` holds exactly
+  /// `num_pos * num_chunks()` words.
   [[nodiscard]] std::vector<std::vector<bool>> unpack() const;
 };
 
@@ -233,11 +250,12 @@ packed_wave_result run_waves_packed(const compiled_netlist& net, const wave_batc
                                     unsigned phases);
 
 /// Streaming front-end over the packed engine for workloads whose waves
-/// arrive incrementally: waves accumulate into a multi-chunk block
-/// (`block_waves` = 512 at the default kernel width) that is evaluated in
-/// one multi-word pass the moment it fills, with the pending storage and
-/// scratch reused across blocks, so the working set stays constant
-/// regardless of stream length.
+/// arrive incrementally: pushed waves are staged as bit rows (a word copy
+/// per 64 PIs) into a multi-chunk block (`block_waves` = 512 at the default
+/// kernel width), which is transposed into planes (wave_batch::append_rows)
+/// and evaluated in one multi-word pass the moment it fills. The staging,
+/// pending and scratch storage is reused across blocks, so the working set
+/// stays constant regardless of stream length.
 ///
 /// When `expected_waves` fixes the output stride, flushed blocks evaluate
 /// **directly into the final full-width result planes** at their chunk
@@ -257,7 +275,9 @@ public:
   /// `phases` or `phases == 0`.
   wave_stream(const compiled_netlist& net, unsigned phases, std::size_t expected_waves = 0);
 
-  /// Enqueues one wave; evaluates transparently once a block is pending.
+  /// Stages one wave; evaluates transparently once a block is staged.
+  /// Throws std::invalid_argument on a width mismatch (the stream stays
+  /// usable).
   void push(const std::vector<bool>& wave);
 
   [[nodiscard]] std::size_t waves_pushed() const { return pushed_; }
@@ -277,6 +297,11 @@ private:
   const compiled_netlist& net_;
   unsigned phases_;
   std::size_t expected_waves_;
+  /// Pushed waves not yet flushed, as bit rows of row_words_ words each
+  /// (see wave_batch::append_rows); flush transposes them into pending_.
+  std::size_t row_words_;
+  std::vector<std::uint64_t> rows_;
+  std::size_t staged_{0};
   wave_batch pending_;
   /// Unhinted: flushed blocks, concatenated — block b occupies
   /// done_chunks_[b] * num_pos words, plane-major with stride == that

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <exception>
+#include <stdexcept>
 
+#include "bit_rows.hpp"
 #include "block_splice.hpp"
 #include "wavemig/fault/fault_injection.hpp"
 #include "wavemig/pipeline.hpp"
@@ -340,9 +342,9 @@ parallel_wave_stream::parallel_wave_stream(const compiled_netlist& net, unsigned
       phases_{phases},
       executor_{executor},
       expected_waves_{expected_waves},
-      pending_{net.num_pis()} {
+      row_words_{detail::row_words(net.num_pis())},
+      rows_(block_waves * row_words_) {
   validate_packed_run(net, net.num_pis(), phases, "parallel_wave_stream");
-  pending_.reserve(block_waves);
 }
 
 parallel_wave_stream::~parallel_wave_stream() {
@@ -351,9 +353,13 @@ parallel_wave_stream::~parallel_wave_stream() {
 }
 
 void parallel_wave_stream::push(const std::vector<bool>& wave) {
-  pending_.append(wave);  // validates the width
+  if (wave.size() != net_.num_pis()) {
+    throw std::invalid_argument{
+        "parallel_wave_stream: each wave needs one value per primary input"};
+  }
+  detail::read_row(wave, rows_.data() + staged_ * row_words_);
   ++pushed_;
-  if (pending_.num_waves() == block_waves) {
+  if (++staged_ == block_waves) {
     dispatch_block();
   }
 }
@@ -382,9 +388,12 @@ void parallel_wave_stream::ensure_direct_capacity(std::size_t needed_chunks) {
 }
 
 void parallel_wave_stream::dispatch_block() {
-  jobs_.emplace_back(std::move(pending_));
-  pending_ = wave_batch{net_.num_pis()};
-  pending_.reserve(block_waves);
+  // The staged rows are transposed on the owner thread, so the buffer is
+  // free for the next block as soon as this returns.
+  wave_batch inputs{net_.num_pis()};
+  inputs.append_rows(rows_.data(), row_words_, staged_);
+  staged_ = 0;
+  jobs_.emplace_back(std::move(inputs));
   block_job* job = &jobs_.back();  // deque: stable across later push_backs
   const std::size_t chunks = job->inputs.num_chunks();
 
@@ -427,7 +436,7 @@ void parallel_wave_stream::wait_in_flight() {
 }
 
 packed_wave_result parallel_wave_stream::finish() {
-  if (!pending_.empty()) {
+  if (staged_ != 0) {
     dispatch_block();
   }
   wait_in_flight();

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "bit_rows.hpp"
 #include "block_splice.hpp"
 
 namespace wavemig::engine {
@@ -44,9 +45,10 @@ void fill_clock_metrics(Result& result, const compiled_netlist& net, unsigned ph
 }
 
 /// Splices one masked 64-wave word into a plane at wave offset
-/// `base_wave` (the unaligned step of append_planes): a low part into the
-/// partially filled chunk and, when the splice crosses a word boundary, a
-/// high part carried into the next one — two shifts, never per-bit.
+/// `base_wave` (the unaligned step of append_planes, and every store of
+/// append_rows): a low part into the partially filled chunk and, when the
+/// splice crosses a word boundary, a high part carried into the next one —
+/// two shifts, never per-bit.
 /// `total_chunks` bounds the carry store; when the carried bits would land
 /// past the final chunk they are provably zero (offset + valid wave bits
 /// <= 64), so the store is skipped.
@@ -140,16 +142,47 @@ void wave_batch::append(const std::vector<bool>& wave) {
   if (wave.size() != num_pis_) {
     throw std::invalid_argument{"wave_batch: each wave needs one value per primary input"};
   }
-  const std::size_t bit = num_waves_ % 64;
-  if (bit == 0) {
-    ensure_chunk_capacity(num_waves_ / 64 + 1);
+  std::vector<std::uint64_t> row(detail::row_words(num_pis_));
+  detail::read_row(wave, row.data());
+  append_rows(row.data(), row.size(), 1);
+}
+
+void wave_batch::append_rows(const std::uint64_t* rows, std::size_t row_words,
+                             std::size_t num_waves) {
+  const std::size_t pi_words = detail::row_words(num_pis_);
+  if (row_words < pi_words) {
+    throw std::invalid_argument{"wave_batch: a bit row needs ceil(num_pis / 64) words"};
   }
-  const std::size_t chunk = num_waves_ / 64;
-  std::uint64_t* words = words_.data() + chunk;
-  for (std::size_t i = 0; i < num_pis_; ++i, words += chunk_capacity_) {
-    *words |= static_cast<std::uint64_t>(wave[i]) << bit;
+  if (num_waves == 0) {
+    return;
   }
-  ++num_waves_;
+  const std::size_t total = num_waves_ + num_waves;
+  const std::size_t total_chunks = (total + 63) / 64;
+  ensure_chunk_capacity(total_chunks);
+  // Each 64-wave x 64-PI tile is transposed once; its word b is PI
+  // 64g + b's next 64 waves, spliced in at the batch's wave offset like
+  // append_planes' unaligned step (at an aligned offset the splice is a
+  // plain store). Padding rows past the last wave transpose to zero lanes,
+  // and rows of PIs past num_pis are never stored.
+  std::uint64_t tile[64];
+  for (std::size_t c = 0; 64 * c < num_waves; ++c) {
+    const std::size_t lanes = std::min<std::size_t>(64, num_waves - 64 * c);
+    const std::uint64_t* src = rows + 64 * c * row_words;
+    const std::size_t at = num_waves_ + 64 * c;
+    for (std::size_t g = 0; g < pi_words; ++g) {
+      for (std::size_t r = 0; r < lanes; ++r) {
+        tile[r] = src[r * row_words + g];
+      }
+      std::fill(tile + lanes, tile + 64, 0);
+      detail::transpose64(tile);
+      const std::size_t pis = std::min<std::size_t>(64, num_pis_ - 64 * g);
+      std::uint64_t* plane = words_.data() + 64 * g * chunk_capacity_;
+      for (std::size_t b = 0; b < pis; ++b, plane += chunk_capacity_) {
+        splice_word(plane, tile[b], at, total_chunks);
+      }
+    }
+  }
+  num_waves_ = total;
 }
 
 void wave_batch::append_planes(const std::uint64_t* planes, std::size_t plane_stride,
@@ -234,8 +267,21 @@ wave_batch wave_batch::from_waves(const std::vector<std::vector<bool>>& waves,
                                   std::size_t num_pis) {
   wave_batch batch{num_pis};
   batch.reserve(waves.size());
-  for (const auto& wave : waves) {
-    batch.append(wave);
+  // Rows are staged one kernel block at a time, so the staging buffer stays
+  // small however many waves arrive.
+  constexpr std::size_t stage_waves = 64 * compiled_netlist::max_block_chunks;
+  const std::size_t row_words = detail::row_words(num_pis);
+  std::vector<std::uint64_t> rows(std::min(stage_waves, waves.size()) * row_words);
+  for (std::size_t first = 0; first < waves.size(); first += stage_waves) {
+    const std::size_t count = std::min(stage_waves, waves.size() - first);
+    for (std::size_t k = 0; k < count; ++k) {
+      const auto& wave = waves[first + k];
+      if (wave.size() != num_pis) {
+        throw std::invalid_argument{"wave_batch: each wave needs one value per primary input"};
+      }
+      detail::read_row(wave, rows.data() + k * row_words);
+    }
+    batch.append_rows(rows.data(), row_words, count);
   }
   return batch;
 }
@@ -243,19 +289,33 @@ wave_batch wave_batch::from_waves(const std::vector<std::vector<bool>>& waves,
 // -------------------------------------------------- packed_wave_result ---
 
 std::vector<std::vector<bool>> packed_wave_result::unpack() const {
+  // Overflow-proof shape check (see wave_batch::from_plane_words): the
+  // words must hold exactly ceil(num_waves / 64) chunks per PO.
+  const std::size_t chunks = num_waves / 64 + (num_waves % 64 != 0 ? 1 : 0);
+  const bool size_matches = chunks == 0 ? words.empty()
+                                        : words.size() % chunks == 0 &&
+                                              words.size() / chunks == num_pos;
+  if (!size_matches) {
+    throw std::invalid_argument{
+        "packed_wave_result: words must hold ceil(num_waves / 64) chunks per primary output"};
+  }
   std::vector<std::vector<bool>> out(num_waves, std::vector<bool>(num_pos, false));
-  // Word-at-a-time transpose: load each packed word once and fan its lanes
-  // out, instead of recomputing chunk/bit indices per (wave, output) pair.
-  const std::size_t chunks = num_chunks();
-  for (std::size_t p = 0; p < num_pos; ++p) {
-    const std::uint64_t* po_plane = words.data() + p * chunks;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t lanes = std::min<std::size_t>(64, num_waves - c * 64);
-      std::uint64_t word = po_plane[c];
-      for (std::size_t b = 0; b < lanes; ++b, word >>= 1) {
-        if ((word & 1u) != 0) {
-          out[c * 64 + b][p] = true;
-        }
+  // Each 64-wave x 64-PO tile is transposed once and lands as one word in
+  // each of its 64 output rows. Tail lanes above num_waves become rows
+  // that are never written.
+  const std::size_t po_words = detail::row_words(num_pos);
+  std::uint64_t tile[64];
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t lanes = std::min<std::size_t>(64, num_waves - 64 * c);
+    for (std::size_t g = 0; g < po_words; ++g) {
+      const std::size_t pos = std::min<std::size_t>(64, num_pos - 64 * g);
+      for (std::size_t b = 0; b < pos; ++b) {
+        tile[b] = words[(64 * g + b) * chunks + c];
+      }
+      std::fill(tile + pos, tile + 64, 0);
+      detail::transpose64(tile);
+      for (std::size_t r = 0; r < lanes; ++r) {
+        detail::write_row_word(out[64 * c + r], g, tile[r]);
       }
     }
   }
@@ -451,15 +511,23 @@ packed_wave_result run_waves_packed(const compiled_netlist& net, const wave_batc
 
 wave_stream::wave_stream(const compiled_netlist& net, unsigned phases,
                          std::size_t expected_waves)
-    : net_{net}, phases_{phases}, expected_waves_{expected_waves}, pending_{net.num_pis()} {
+    : net_{net},
+      phases_{phases},
+      expected_waves_{expected_waves},
+      row_words_{detail::row_words(net.num_pis())},
+      rows_(block_waves * row_words_),
+      pending_{net.num_pis()} {
   validate_packed_run(net, net.num_pis(), phases, "wave_stream");
   pending_.reserve(block_waves);
 }
 
 void wave_stream::push(const std::vector<bool>& wave) {
-  pending_.append(wave);  // validates the width
+  if (wave.size() != net_.num_pis()) {
+    throw std::invalid_argument{"wave_stream: each wave needs one value per primary input"};
+  }
+  detail::read_row(wave, rows_.data() + staged_ * row_words_);
   ++pushed_;
-  if (pending_.num_waves() == block_waves) {
+  if (++staged_ == block_waves) {
     flush_pending();
   }
 }
@@ -486,6 +554,8 @@ void wave_stream::ensure_direct_capacity(std::size_t needed_chunks) {
 }
 
 void wave_stream::flush_pending() {
+  pending_.append_rows(rows_.data(), row_words_, staged_);
+  staged_ = 0;
   const std::size_t chunks = pending_.num_chunks();
   std::uint64_t* out;
   std::size_t out_stride;
@@ -513,7 +583,7 @@ void wave_stream::flush_pending() {
 }
 
 packed_wave_result wave_stream::finish() {
-  if (!pending_.empty()) {
+  if (staged_ != 0) {
     flush_pending();
   }
   packed_wave_result out;

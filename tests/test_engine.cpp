@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <utility>
 
 #include "wavemig/buffer_insertion.hpp"
@@ -650,6 +651,194 @@ TEST(engine_scalar, simulate_pattern_validates_width) {
   net.create_po(constant1);
   EXPECT_THROW(simulate_pattern(net, {true}), std::invalid_argument);
   EXPECT_THROW(simulate_pattern(net, {true, false, true}), std::invalid_argument);
+}
+
+// ------------------------------------------------- vector<bool> boundary ---
+
+/// Copies of `waves` whose vector<bool> storage is all ones above size():
+/// what a shrinking resize leaves behind on libstdc++, where
+/// vector<bool>(130, true).resize(65) keeps both storage words all-ones.
+std::vector<std::vector<bool>> with_stale_padding(const std::vector<std::vector<bool>>& waves) {
+  std::vector<std::vector<bool>> stale;
+  stale.reserve(waves.size());
+  for (const auto& wave : waves) {
+    std::vector<bool> row(wave.size() + 130, true);
+    row.resize(wave.size());
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      row[i] = wave[i];
+    }
+    stale.push_back(std::move(row));
+  }
+  return stale;
+}
+
+/// libstdc++ compares vector<bool>s a word at a time in some versions, so
+/// unpack() must leave the storage bits above size() zero. Other standard
+/// libraries only see per-bit writes: nothing to check there.
+bool padding_is_zero(const std::vector<bool>& row) {
+#if defined(__GLIBCXX__)
+  if (row.size() % 64 == 0) {
+    return true;
+  }
+  const auto last = static_cast<std::uint64_t>(row.begin()._M_p[row.size() / 64]);
+  return (last >> (row.size() % 64)) == 0;
+#else
+  (void)row;
+  return true;
+#endif
+}
+
+void expect_same_planes(const engine::wave_batch& got, const engine::wave_batch& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.num_waves(), want.num_waves()) << what;
+  ASSERT_EQ(got.num_pis(), want.num_pis()) << what;
+  for (std::size_t i = 0; i < want.num_pis(); ++i) {
+    for (std::size_t c = 0; c < want.num_chunks(); ++c) {
+      ASSERT_EQ(got.plane(i)[c], want.plane(i)[c]) << what << ": pi " << i << " chunk " << c;
+    }
+  }
+}
+
+TEST(packed_wave_result, unpack_rejects_words_that_do_not_match_the_shape) {
+  // Three POs over 200 waves need 3 * 4 words; two words used to be read
+  // past their end.
+  engine::packed_wave_result result;
+  result.num_pos = 3;
+  result.num_waves = 200;
+  result.words.assign(2, ~std::uint64_t{0});
+  EXPECT_THROW((void)result.unpack(), std::invalid_argument);
+  result.words.assign(3 * 4 + 1, 0);
+  EXPECT_THROW((void)result.unpack(), std::invalid_argument);
+  result.num_waves = 0;
+  EXPECT_THROW((void)result.unpack(), std::invalid_argument);
+
+  result.num_waves = 200;
+  result.words.assign(3 * 4, 0);
+  EXPECT_EQ(result.unpack().size(), 200u);
+  result.num_waves = 0;
+  result.words.clear();
+  EXPECT_TRUE(result.unpack().empty());
+}
+
+TEST(packed_wave_result, unpack_rows_equal_a_per_bit_reference_for_every_shape) {
+  std::mt19937_64 rng{2024};
+  for (const std::size_t num_pos : {1ull, 63ull, 64ull, 65ull, 128ull, 130ull}) {
+    for (const std::size_t num_waves :
+         {0ull, 1ull, 63ull, 64ull, 65ull, 511ull, 512ull, 513ull, 1000ull}) {
+      engine::packed_wave_result result;
+      result.num_pos = num_pos;
+      result.num_waves = num_waves;
+      const std::size_t chunks = result.num_chunks();
+      result.words.resize(num_pos * chunks);
+      for (auto& word : result.words) {
+        word = rng();
+      }
+      // Results uphold the tail-zero invariant (see mask_result_tail).
+      if (num_waves % 64 != 0) {
+        const std::uint64_t live = (std::uint64_t{1} << (num_waves % 64)) - 1;
+        for (std::size_t p = 0; p < num_pos; ++p) {
+          result.words[p * chunks + chunks - 1] &= live;
+        }
+      }
+      const auto rows = result.unpack();
+      ASSERT_EQ(rows.size(), num_waves);
+      for (std::size_t w = 0; w < num_waves; ++w) {
+        std::vector<bool> reference(num_pos);
+        for (std::size_t p = 0; p < num_pos; ++p) {
+          reference[p] = result.output(w, p);
+        }
+        ASSERT_TRUE(rows[w] == reference)
+            << num_pos << " POs, " << num_waves << " waves, wave " << w;
+        ASSERT_TRUE(padding_is_zero(rows[w]))
+            << num_pos << " POs, " << num_waves << " waves, wave " << w;
+      }
+    }
+  }
+}
+
+TEST(wave_batch, stale_bits_above_size_never_reach_the_planes) {
+  const auto balanced = insert_buffers(gen::ripple_adder_circuit(40)).net;
+  const std::size_t num_pis = balanced.num_pis();
+  ASSERT_GT(num_pis % 64, 0u);  // stale bits share the last row word
+  const engine::compiled_netlist compiled{balanced};
+  // Two full stream blocks plus a partial one.
+  const auto waves = random_waves(2 * engine::wave_stream::block_waves + 100, num_pis, 1301);
+  const auto stale = with_stale_padding(waves);
+  const auto fresh = engine::wave_batch::from_waves(waves, num_pis);
+  const auto reference = engine::run_waves_packed(compiled, fresh, 3);
+
+  expect_same_planes(engine::wave_batch::from_waves(stale, num_pis), fresh, "from_waves");
+  engine::wave_batch appended{num_pis};
+  for (const auto& wave : stale) {
+    appended.append(wave);
+  }
+  expect_same_planes(appended, fresh, "append");
+
+  // append_rows: the same rows with every bit at or above num_pis set, at
+  // each offset class, against a batch of fresh waves.
+  const std::size_t row_words = (num_pis + 63) / 64;
+  std::vector<std::uint64_t> rows(waves.size() * row_words, 0);
+  for (std::size_t w = 0; w < waves.size(); ++w) {
+    for (std::size_t i = 0; i < num_pis; ++i) {
+      rows[w * row_words + i / 64] |= static_cast<std::uint64_t>(waves[w][i]) << (i % 64);
+    }
+    rows[w * row_words + row_words - 1] |= ~((std::uint64_t{1} << (num_pis % 64)) - 1);
+  }
+  for (const std::size_t offset : {0ull, 1ull, 63ull, 64ull}) {
+    const std::vector<std::vector<bool>> prefix(waves.begin(),
+                                                waves.begin() + static_cast<std::ptrdiff_t>(offset));
+    auto batch = engine::wave_batch::from_waves(prefix, num_pis);
+    batch.append_rows(rows.data(), row_words, waves.size() - offset);
+    auto want_waves = prefix;
+    want_waves.insert(want_waves.end(), waves.begin(), waves.end() - static_cast<std::ptrdiff_t>(offset));
+    expect_same_planes(batch, engine::wave_batch::from_waves(want_waves, num_pis),
+                       "append_rows at offset " + std::to_string(offset));
+  }
+
+  for (const std::size_t hint : {std::size_t{0}, waves.size()}) {
+    engine::wave_stream stream{compiled, 3, hint};
+    for (const auto& wave : stale) {
+      stream.push(wave);
+    }
+    const auto streamed = stream.finish();
+    EXPECT_EQ(streamed.words, reference.words) << "wave_stream, hint " << hint;
+    EXPECT_EQ(streamed.unpack(), reference.unpack()) << "wave_stream, hint " << hint;
+  }
+}
+
+TEST(wave_batch, append_rows_validates_the_row_width) {
+  engine::wave_batch batch{65};
+  const std::vector<std::uint64_t> rows(4, 0);
+  EXPECT_THROW(batch.append_rows(rows.data(), 1, 2), std::invalid_argument);
+  EXPECT_EQ(batch.num_waves(), 0u);
+  batch.append_rows(rows.data(), 2, 2);
+  EXPECT_EQ(batch.num_waves(), 2u);
+  batch.append_rows(nullptr, 2, 0);
+  EXPECT_EQ(batch.num_waves(), 2u);
+
+  // A zero-PI batch only counts waves.
+  engine::wave_batch empty{0};
+  empty.append_rows(nullptr, 0, 70);
+  EXPECT_EQ(empty.num_waves(), 70u);
+}
+
+TEST(wave_stream, counters_keep_their_meaning_while_rows_are_staged) {
+  const auto balanced = insert_buffers(gen::ripple_adder_circuit(40)).net;
+  const engine::compiled_netlist compiled{balanced};
+  constexpr std::size_t block = engine::wave_stream::block_waves;
+  const auto waves = random_waves(block + 37, balanced.num_pis(), 1402);
+  engine::wave_stream stream{compiled, 3};
+  for (std::size_t w = 0; w < waves.size(); ++w) {
+    stream.push(waves[w]);
+    ASSERT_EQ(stream.waves_pushed(), w + 1);
+    ASSERT_EQ(stream.waves_completed(), w + 1 < block ? 0u : block) << "wave " << w;
+  }
+  // A rejected push stages nothing.
+  EXPECT_THROW(stream.push({true}), std::invalid_argument);
+  EXPECT_EQ(stream.waves_pushed(), waves.size());
+  const auto result = stream.finish();
+  EXPECT_EQ(result.num_waves, waves.size());
+  EXPECT_EQ(result.unpack(), run_waves(balanced, waves, 3).outputs);
 }
 
 }  // namespace

@@ -406,5 +406,32 @@ TEST(network_fingerprint, distinguishes_structure_not_names) {
   EXPECT_NE(engine::network_fingerprint(a), engine::network_fingerprint(c));
 }
 
+TEST(parallel_stream, stale_bits_above_size_never_reach_the_planes) {
+  // libstdc++ keeps stale storage bits above size() after a shrinking
+  // resize; pushed waves carrying them must run exactly like fresh ones.
+  const auto balanced = insert_buffers(gen::ripple_adder_circuit(40)).net;
+  const engine::compiled_netlist compiled{balanced};
+  engine::parallel_executor executor{2};
+  const auto waves =
+      random_waves(2 * engine::parallel_wave_stream::block_waves + 100, balanced.num_pis(), 1501);
+  const auto reference = engine::run_waves_packed(
+      compiled, engine::wave_batch::from_waves(waves, balanced.num_pis()), 3);
+
+  for (const std::size_t hint : {std::size_t{0}, waves.size()}) {
+    engine::parallel_wave_stream stream{compiled, 3, executor, hint};
+    for (const auto& wave : waves) {
+      std::vector<bool> stale(wave.size() + 130, true);
+      stale.resize(wave.size());
+      for (std::size_t i = 0; i < wave.size(); ++i) {
+        stale[i] = wave[i];
+      }
+      stream.push(stale);
+      EXPECT_LE(stream.waves_completed(), stream.waves_pushed());
+    }
+    EXPECT_EQ(stream.waves_pushed(), waves.size());
+    expect_bit_identical(stream.finish(), reference, "hint=" + std::to_string(hint));
+  }
+}
+
 }  // namespace
 }  // namespace wavemig
