@@ -84,8 +84,8 @@ public:
   /// `rows[w * row_words + i / 64]`. Bits at or above `num_pis()` in a row
   /// are ignored. Each 64-wave x 64-PI tile goes through one 64x64 bit
   /// transpose and is spliced in like append_planes, at any wave offset. This
-  /// is the one bit-row ingestion path: append, from_waves and the streams'
-  /// push all stage rows and call it. Throws std::invalid_argument when
+  /// is the one bit-row ingestion path: append, from_waves and
+  /// wave_stream::push all stage rows and call it. Throws std::invalid_argument when
   /// `row_words` is below ceil(num_pis / 64).
   void append_rows(const std::uint64_t* rows, std::size_t row_words, std::size_t num_waves);
 
@@ -254,26 +254,23 @@ packed_wave_result run_waves_packed(const compiled_netlist& net, const wave_batc
 /// per 64 PIs) into a multi-chunk block (`block_waves` = 512 at the default
 /// kernel width), which is transposed into planes (wave_batch::append_rows)
 /// and evaluated in one multi-word pass the moment it fills. The staging,
-/// pending and scratch storage is reused across blocks, so the working set
-/// stays constant regardless of stream length.
+/// pending and scratch storage is reused across blocks.
 ///
-/// When `expected_waves` fixes the output stride, flushed blocks evaluate
-/// **directly into the final full-width result planes** at their chunk
-/// offset and finish() hands the buffer over without the per-block splice
-/// copy. A hint the stream outgrows falls back gracefully (the buffer
-/// re-strides between flushes); an overshot hint costs one per-plane
-/// compaction at finish(). Result words are bit-identical either way.
+/// Each flushed block evaluates **directly into full-width result planes**
+/// at its chunk offset. The plane stride starts at one block and doubles
+/// whenever the stream outgrows it (one copy of the flushed words per
+/// doubling, about one output's worth in total); finish() compacts the
+/// planes down to the result stride in place when the last doubling
+/// overshot, and otherwise hands the buffer over as-is.
 class wave_stream {
 public:
   /// Waves per evaluated block: one full pass of the multi-word kernel.
   static constexpr std::size_t block_waves = 64 * compiled_netlist::max_block_chunks;
 
-  /// The compiled netlist must outlive the stream. `expected_waves != 0`
-  /// enables the direct-write path (see class docs) — exact or generous
-  /// hints skip the finish()-time splice entirely. Throws
+  /// The compiled netlist must outlive the stream. Throws
   /// std::invalid_argument when the netlist is not wave-coherent under
   /// `phases` or `phases == 0`.
-  wave_stream(const compiled_netlist& net, unsigned phases, std::size_t expected_waves = 0);
+  wave_stream(const compiled_netlist& net, unsigned phases);
 
   /// Stages one wave; evaluates transparently once a block is staged.
   /// Throws std::invalid_argument on a width mismatch (the stream stays
@@ -290,29 +287,22 @@ public:
 
 private:
   void flush_pending();
-  /// Direct-write path: grows `done_words_` (re-striding the planes) so
-  /// chunks [0, needed) fit at a common stride.
-  void ensure_direct_capacity(std::size_t needed_chunks);
+  /// Grows `done_words_` (doubling the plane stride) so chunks
+  /// [0, needed) fit.
+  void ensure_capacity(std::size_t needed_chunks);
 
   const compiled_netlist& net_;
   unsigned phases_;
-  std::size_t expected_waves_;
   /// Pushed waves not yet flushed, as bit rows of row_words_ words each
   /// (see wave_batch::append_rows); flush transposes them into pending_.
   std::size_t row_words_;
   std::vector<std::uint64_t> rows_;
   std::size_t staged_{0};
   wave_batch pending_;
-  /// Unhinted: flushed blocks, concatenated — block b occupies
-  /// done_chunks_[b] * num_pos words, plane-major with stride == that
-  /// block's chunk count, and finish() splices the per-block planes into
-  /// the result's full-width planes (or moves the buffer wholesale when
-  /// only one block flushed). Hinted (`expected_waves_ != 0`): num_pos
-  /// full-width planes of direct_stride_ words each; flushes land at their
-  /// final chunk offset and finish() moves the buffer out splice-free.
+  /// num_pos full-width result planes of `stride_` words each; flushed
+  /// blocks land at their final chunk offset.
   std::vector<std::uint64_t> done_words_;
-  std::vector<std::size_t> done_chunks_;
-  std::size_t direct_stride_{0};
+  std::size_t stride_{0};
   std::size_t flushed_chunks_{0};
   std::vector<std::uint64_t> scratch_;
   std::size_t pushed_{0};

@@ -1,8 +1,8 @@
 #pragma once
 
 // Internal primitive behind every vector<bool> <-> plane conversion of the
-// packed front-ends (wave_batch::append_rows and its adapters, the stream
-// push paths, packed_wave_result::unpack): word-level access to a
+// packed front-ends (wave_batch::append_rows and its adapters,
+// wave_stream::push, packed_wave_result::unpack): word-level access to a
 // vector<bool> row and a 64x64 bit-matrix transpose that turns 64 rows of
 // one 64-bit word into 64 plane words and back. Not installed; nothing
 // outside src/engine (and the tests of this header) includes it.

@@ -485,18 +485,11 @@ void serving_session::process_gulp(std::vector<request> gulp) {
       // Scenario-tagged requests compile through the scenario cache path;
       // the distinct program pointer then keeps them from coalescing with
       // untagged (or differently-tagged) requests against the same network.
-      // A per-request compile override (req.opts.compile) routes through
-      // the options-keyed overloads the same way.
-      const std::uint64_t fp = fingerprint_of(req.net);
-      auto program =
-          req.opts.scenario
-              ? (req.opts.compile
-                     ? session_.compile(*req.net, req.phases, fp, *req.opts.scenario,
-                                        *req.opts.compile)
-                     : session_.compile(*req.net, req.phases, fp, *req.opts.scenario))
-              : (req.opts.compile
-                     ? session_.compile(*req.net, req.phases, fp, *req.opts.compile)
-                     : session_.compile(*req.net, req.phases, fp));
+      // A per-request compile override (req.opts.compile) keys the cache
+      // the same way.
+      auto program = session_.compile(*req.net, req.phases, fingerprint_of(req.net),
+                                      req.opts.scenario.get(),
+                                      req.opts.compile ? &*req.opts.compile : nullptr);
       validate_packed_run(*program, req.waves.num_pis(), req.phases, "serving_session");
       const std::size_t chunks = req.waves.num_chunks();
       ready.push_back({std::move(req), std::move(program), chunks});

@@ -259,9 +259,9 @@ TEST(differential, layout_round_trip_is_an_involution) {
 /// The zero-copy serving path (pre-transposed plane words adopted without
 /// repacking) against the scalar reference: bit-identical outputs at every
 /// wave count including the tail-chunk corners.
-/// PR-6 referee: the coalesced serving path and both direct-write streams
-/// (hinted wave_stream and hinted parallel_wave_stream) pinned bit-identical
-/// to run_waves_packed across the chunk-boundary wave counts.
+/// PR-6 referee: the coalesced serving path and the direct-write
+/// wave_stream pinned bit-identical to run_waves_packed across the
+/// chunk-boundary wave counts.
 TEST(differential, coalesced_serving_and_direct_streams_match_packed) {
   engine::parallel_executor executor{4};
   engine::serving_session serving{executor, {}, {}, 1};
@@ -289,23 +289,14 @@ TEST(differential, coalesced_serving_and_direct_streams_match_packed) {
       EXPECT_EQ(got.ticks, reference.ticks) << what;
     }
 
-    // Hinted (direct-write) single-threaded stream.
-    engine::wave_stream hinted{compiled, 3, num_waves};
+    // The direct-write stream.
+    engine::wave_stream stream{compiled, 3};
     for (const auto& wave : waves) {
-      hinted.push(wave);
+      stream.push(wave);
     }
-    const auto streamed = hinted.finish();
+    const auto streamed = stream.finish();
     EXPECT_EQ(streamed.words, reference.words) << what;
     EXPECT_EQ(streamed.ticks, reference.ticks) << what;
-
-    // Hinted (direct-write) parallel stream.
-    engine::parallel_wave_stream parallel_hinted{compiled, 3, executor, num_waves};
-    for (const auto& wave : waves) {
-      parallel_hinted.push(wave);
-    }
-    const auto parallel_streamed = parallel_hinted.finish();
-    EXPECT_EQ(parallel_streamed.words, reference.words) << what;
-    EXPECT_EQ(parallel_streamed.ticks, reference.ticks) << what;
   }
 }
 

@@ -561,7 +561,7 @@ TEST(wire_policies, admission_bound_rejects_with_the_exact_status) {
   ASSERT_EQ(client.run(make_run(fp, *net, 64, 3, warm)).status, net::wire_status::ok);
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
-  stack.executor.submit([released](unsigned) { released.wait(); });
+  stack.executor.submit_group(1, [released](std::size_t, unsigned) { released.wait(); });
 
   auto held = stack.serving.submit_packed(net, warm, 64, 3);
   stack.serving.set_admission_limit(1);  // backlog is already 1
@@ -592,7 +592,7 @@ TEST(wire_policies, deadlines_expire_in_the_queue_with_the_exact_status) {
   // time and waiting for its gulp keeps the accounting deterministic.
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
-  stack.executor.submit([released](unsigned) { released.wait(); });
+  stack.executor.submit_group(1, [released](std::size_t, unsigned) { released.wait(); });
   const std::uint64_t gulps_before = stack.serving.metrics().gulps;
   std::vector<std::future<engine::packed_wave_result>> blockers;
   for (std::uint64_t i = 1; i <= 5; ++i) {
@@ -637,7 +637,7 @@ TEST(wire_policies, draining_refuses_new_work_while_accepted_work_flushes) {
   // the drain begins: its response must flow, the next request must not.
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
-  stack.executor.submit([released](unsigned) { released.wait(); });
+  stack.executor.submit_group(1, [released](std::size_t, unsigned) { released.wait(); });
   const std::uint64_t accepted_id = client.send(make_run(fp, *net, 64, 3, words));
   while (stack.serving.pending() == 0) {
     std::this_thread::yield();  // accepted before the drain begins, not raced
@@ -668,7 +668,7 @@ TEST(wire_policies, shutdown_flushes_inflight_responses_before_closing) {
 
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
-  stack->executor.submit([released](unsigned) { released.wait(); });
+  stack->executor.submit_group(1, [released](std::size_t, unsigned) { released.wait(); });
   const std::uint64_t id = client.send(make_run(fp, *net, 64, 3, words));
   while (stack->serving.pending() == 0) {
     std::this_thread::yield();  // the request must be accepted pre-shutdown

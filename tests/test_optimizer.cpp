@@ -291,9 +291,11 @@ TEST(optimizer, opt_levels_occupy_distinct_cache_entries) {
   engine::batch_session session{executor};
   const auto net = gen::random_mig({12, 200, 0.5, 8, 99});
   const std::uint64_t fp = engine::network_fingerprint(net);
+  const compile_options level1{.opt_level = 1};
+  const compile_options level2{.opt_level = 2};
 
-  const auto plain = session.compile(net, 3, fp, compile_options{.opt_level = 1});
-  const auto recycled = session.compile(net, 3, fp, compile_options{.opt_level = 2});
+  const auto plain = session.compile(net, 3, fp, nullptr, &level1);
+  const auto recycled = session.compile(net, 3, fp, nullptr, &level2);
   // Distinct entries, distinct programs — an opt level can never be served
   // a program compiled at another.
   EXPECT_EQ(session.stats().entries, 2u);
@@ -302,9 +304,8 @@ TEST(optimizer, opt_levels_occupy_distinct_cache_entries) {
   EXPECT_EQ(recycled->options().opt_level, 2u);
 
   // Re-requesting either level hits its own entry, never the other's.
-  EXPECT_EQ(session.compile(net, 3, fp, compile_options{.opt_level = 1}).get(), plain.get());
-  EXPECT_EQ(session.compile(net, 3, fp, compile_options{.opt_level = 2}).get(),
-            recycled.get());
+  EXPECT_EQ(session.compile(net, 3, fp, nullptr, &level1).get(), plain.get());
+  EXPECT_EQ(session.compile(net, 3, fp, nullptr, &level2).get(), recycled.get());
   EXPECT_EQ(session.stats().entries, 2u);
 
   // Same function either way; the session surfaces the programs' liveness.
