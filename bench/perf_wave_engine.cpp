@@ -423,11 +423,11 @@ int main(int argc, char** argv) {
   // exceeding it at any sample point fails the bench.
   constexpr std::size_t churn_circuits = 24;
   constexpr std::size_t churn_rounds = 4;
-  std::vector<mig_network> circuits;
+  std::vector<std::shared_ptr<const mig_network>> circuits;
   circuits.reserve(churn_circuits);
   for (std::size_t i = 0; i < churn_circuits; ++i) {
-    circuits.push_back(
-        gen::random_mig({16, 150, 0.5, 8, static_cast<std::uint64_t>(9000 + i)}));
+    circuits.push_back(std::make_shared<const mig_network>(
+        gen::random_mig({16, 150, 0.5, 8, static_cast<std::uint64_t>(9000 + i)})));
   }
   // Budget: the four hot programs exactly, plus the five largest cold
   // programs — hot entries survive their reuse distance no matter which
@@ -440,7 +440,7 @@ int main(int argc, char** argv) {
   std::size_t byte_bound = 0;
   std::vector<std::size_t> cold_bytes;
   for (std::size_t i = 0; i < circuits.size(); ++i) {
-    const std::size_t bytes = program_bytes(circuits[i]);
+    const std::size_t bytes = program_bytes(*circuits[i]);
     if (i < 4) {
       byte_bound += bytes;
     } else {
@@ -465,8 +465,8 @@ int main(int argc, char** argv) {
         const auto& circuit =
             (r % 2 == 0) ? circuits[4 + (r / 2) % (circuits.size() - 4)]
                          : circuits[(r / 2) % 4];
-        engine::wave_batch batch{circuit.num_pis()};
-        std::vector<bool> wave(circuit.num_pis());
+        engine::wave_batch batch{circuit->num_pis()};
+        std::vector<bool> wave(circuit->num_pis());
         for (std::size_t w = 0; w < 128; ++w) {
           for (std::size_t i = 0; i < wave.size(); ++i) {
             wave[i] = (churn_rng() & 1u) != 0;
@@ -634,14 +634,14 @@ int main(int argc, char** argv) {
       rec.depth = piped.depth_after;
 
       // Warm the cache (one compile miss), then measure steady-state hits.
-      const auto warm = scenario_session.run(raw, sweep_batch, phases, scenario);
+      const auto warm = scenario_session.run(raw, sweep_batch, phases, &scenario);
       if (warm.words != sweep_reference.words) {
         std::fprintf(stderr, "FATAL: scenario '%s' diverges from the packed reference\n",
                      name.c_str());
         return 2;
       }
       rec.wps = measure_wps(sweep_waves, [&] {
-        (void)scenario_session.run(raw, sweep_batch, phases, scenario);
+        (void)scenario_session.run(raw, sweep_batch, phases, &scenario);
       });
       scenario_records.push_back(std::move(rec));
     }

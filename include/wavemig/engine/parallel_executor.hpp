@@ -250,46 +250,41 @@ public:
 
   /// Balances + compiles `net` on first sight (cache miss), then evaluates
   /// the batch on the executor. The returned words are bit-identical to
-  /// `run_waves_packed` on the balanced network.
-  packed_wave_result run(const mig_network& net, const wave_batch& waves, unsigned phases);
-
-  /// Scenario-parameterized run: the program is prepared by the full
-  /// scenario pipeline (fan-out restriction, loss-budget repeaters, then
-  /// balancing) and cached under the scenario's fingerprint, so one session
-  /// serves several scenarios of the same netlist as distinct programs.
+  /// `run_waves_packed` on the prepared network. A non-null `scenario`
+  /// prepares the program by the full scenario pipeline (fan-out
+  /// restriction, loss-budget repeaters, then balancing) and caches it under
+  /// the scenario's fingerprint, so one session serves several scenarios of
+  /// the same netlist as distinct programs.
   packed_wave_result run(const mig_network& net, const wave_batch& waves, unsigned phases,
-                         const tech_scenario& scenario);
+                         const tech_scenario* scenario = nullptr);
 
-  /// The cache lookup half of `run`: returns the (balanced + lowered)
+  /// The cache lookup half of `run`: returns the prepared + lowered
   /// program for `net`, compiling on a miss and touching the LRU order on a
   /// hit. The returned reference keeps the program alive independently of
   /// any later eviction.
-  [[nodiscard]] std::shared_ptr<const compiled_netlist> compile(const mig_network& net,
-                                                                unsigned phases);
+  ///
+  /// `scenario` null balances only. Otherwise, on a miss the network is
+  /// prepared by the full scenario pipeline (wave_pipeline with this
+  /// session's strategy/schedule and the scenario's fan-out limit and loss
+  /// budget) and lowered with compile_options carrying the scenario
+  /// fingerprint and FDM lane count. The cache key gains the scenario
+  /// fingerprint, so the same netlist compiled under two scenarios — or
+  /// with and without one — occupies distinct entries serving distinct
+  /// programs.
+  [[nodiscard]] std::shared_ptr<const compiled_netlist> compile(
+      const mig_network& net, unsigned phases, const tech_scenario* scenario = nullptr);
 
-  /// Scenario-tagged compile: on a miss the network is prepared by the full
-  /// scenario pipeline (wave_pipeline with this session's strategy/schedule
-  /// and the scenario's fan-out limit and loss budget) and lowered with
-  /// compile_options carrying the scenario fingerprint and FDM lane count.
-  /// The cache key gains the scenario fingerprint, so the same netlist
-  /// compiled under two scenarios — or with and without one — occupies
-  /// distinct entries serving distinct programs.
-  [[nodiscard]] std::shared_ptr<const compiled_netlist> compile(const mig_network& net,
-                                                                unsigned phases,
-                                                                const tech_scenario& scenario);
-
-  /// The one cache-keyed compile the two overloads above forward to, and
-  /// the fast path for callers that already fingerprinted the network (the
+  /// The one cache-keyed compile the overload above forwards to, and the
+  /// fast path for callers that already fingerprinted the network (the
   /// serving dispatcher memoizes fingerprints per shared network): a hot
   /// cache hit is then one hash-map lookup plus an LRU splice, with no
   /// O(network) re-hash. `fingerprint` must equal
   /// `network_fingerprint(net)`; passing anything else silently serves the
   /// wrong program.
   ///
-  /// `scenario` null compiles untagged (balancing only); otherwise as the
-  /// scenario-tagged overload. `opts` null builds with this session's
-  /// compile options; otherwise the program is built with `*opts` (the
-  /// scenario tag and FDM lane count applied on top). Every cache key
+  /// `scenario` as in the overload above. `opts` null builds with this
+  /// session's compile options; otherwise the program is built with `*opts`
+  /// (the scenario tag and FDM lane count applied on top). Every cache key
   /// carries `options_fingerprint` of the effective options, so the same
   /// netlist compiled at two opt levels occupies two distinct entries and
   /// can never cross-serve.

@@ -110,19 +110,22 @@ struct submit_options {
 };
 
 /// Overload load-shedding policy (set_shed_policy). When the session looks
-/// overloaded — the queue is at least `queue_depth` requests deep, or the
-/// recent queue-wait p99 exceeds `queue_wait_p99_ms` — submissions whose
-/// priority byte is `min_priority` or worse (higher) are rejected with
-/// admission_rejected_error *before* they consume a queue slot, so the
-/// high-priority traffic that can still meet its deadlines keeps flowing.
-/// Unlike the admission limit (a hard backlog cap for everyone), shedding
-/// is selective: best-effort traffic pays for the overload first. A
-/// default-constructed policy (both thresholds zero) disables shedding.
+/// overloaded — the queue is at least `queue_depth` requests deep, or it is
+/// non-empty and the recent queue-wait p99 exceeds `queue_wait_p99_ms` —
+/// submissions whose priority byte is `min_priority` or worse (higher) are
+/// rejected with admission_rejected_error *before* they consume a queue
+/// slot, so the high-priority traffic that can still meet its deadlines
+/// keeps flowing. Unlike the admission limit (a hard backlog cap for
+/// everyone), shedding is selective: best-effort traffic pays for the
+/// overload first. A default-constructed policy (both thresholds zero)
+/// disables shedding.
 struct shed_policy {
   /// Queue depth at which the session counts as overloaded; 0 = ignore.
   std::size_t queue_depth{0};
   /// Recent queue-wait p99 (milliseconds, over the last ~128 dispatched
-  /// requests) above which the session counts as overloaded; 0 = ignore.
+  /// requests) above which the session counts as overloaded while a backlog
+  /// exists (an empty queue picks the next request up at once, whatever
+  /// the past waits were); 0 = ignore.
   double queue_wait_p99_ms{0.0};
   /// Priority bytes >= this are shed while overloaded. The default 192
   /// sheds the bottom quarter of the priority space and never touches the
@@ -199,8 +202,8 @@ struct serving_metrics {
 /// * Per-request compiled-netlist reuse: requests against structurally
 ///   identical networks share one cached program; the request holds its own
 ///   reference, so cache eviction (LRU under `cache_limits`) while the
-///   request is in flight is safe. Submitting the network by `shared_ptr`
-///   additionally memoizes its fingerprint, so a hot resubmission costs one
+///   request is in flight is safe. The session memoizes each submitted
+///   network's fingerprint by `shared_ptr`, so a hot resubmission costs one
 ///   hash-map lookup instead of an O(network) re-hash.
 /// * Dispatcher threads are deliberately separate from the executor's
 ///   workers: dispatchers prepare and launch, workers evaluate and
@@ -225,39 +228,34 @@ public:
   serving_session(const serving_session&) = delete;
   serving_session& operator=(const serving_session&) = delete;
 
-  /// Enqueues one request and returns a future for its packed result.
-  /// Validation happens on the dispatcher, so malformed requests surface as
-  /// exceptions from `future.get()`, not from `submit`. Throws
+  /// Enqueues one request; `on_complete` fires exactly once per accepted
+  /// request (see serving_callback for the threading contract) with result
+  /// words bit-identical to `run_waves_packed` on the session-balanced
+  /// network. Validation happens on the dispatcher, so a malformed request
+  /// surfaces through its callback (or future), not from `submit`. Throws
   /// session_closed_error when the session is closed and
-  /// admission_rejected_error when the backlog is at the admission bound.
+  /// admission_rejected_error when admission control or load shedding
+  /// refuses the request.
   ///
-  /// The `shared_ptr` overloads are the hot path: the session keeps only a
-  /// reference (no deep copy) and memoizes the network's fingerprint, so
-  /// resubmitting the same network object costs one cache lookup. The
-  /// by-value overloads wrap the network in a fresh `shared_ptr` — correct,
-  /// but they re-fingerprint per submission.
-  [[nodiscard]] std::future<packed_wave_result> submit(
-      std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases);
-  [[nodiscard]] std::future<packed_wave_result> submit(mig_network net, wave_batch waves,
-                                                       unsigned phases);
-
-  /// Callback variants: `on_complete` fires exactly once per accepted
-  /// request (see serving_callback for the threading contract).
-  void submit(std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases,
-              serving_callback on_complete);
-  void submit(mig_network net, wave_batch waves, unsigned phases,
-              serving_callback on_complete);
-
-  /// Scenario-parameterized submission: the request compiles through the
-  /// scenario-tagged cache path (batch_session::compile with a scenario), so
-  /// one session serves several technology scenarios of the same netlist
+  /// The session keeps only a reference to `net` (no deep copy) and
+  /// memoizes its fingerprint, so resubmitting the same network object
+  /// costs one cache lookup: make the `shared_ptr` once and reuse it.
+  ///
+  /// `opts` adds priority, an absolute deadline, a per-client fairness key,
+  /// strict tail-bit validation, a compile-options override and a
+  /// technology scenario (see submit_options); defaults reproduce plain
+  /// FIFO serving. A scenario-tagged request compiles through the
+  /// scenario-tagged cache path (batch_session::compile with a scenario),
+  /// so one session serves several scenarios of the same netlist
   /// concurrently — each scenario's requests coalesce among themselves (the
   /// coalescing key is the compiled program) and never across scenarios.
+  void submit(std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases,
+              serving_callback on_complete, submit_options opts = {});
+  /// Future form of the callback `submit` above: the result (or the
+  /// request's error) arrives through `future.get()`.
   [[nodiscard]] std::future<packed_wave_result> submit(
       std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases,
-      tech_scenario scenario);
-  void submit(std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases,
-              tech_scenario scenario, serving_callback on_complete);
+      submit_options opts = {});
 
   /// Zero-copy packed submission: `plane_words` holds the waves already in
   /// the engine's plane-major layout — ceil(num_waves / 64) contiguous
@@ -268,48 +266,16 @@ public:
   /// packing, no transpose, no copy happens anywhere between the producer
   /// and the kernel. Bits above `num_waves` in each plane's last chunk are
   /// masked off (or rejected — see submit_options::reject_stray_tail_bits).
-  /// Like `submit`, validation (including the vector-size check) happens on
-  /// the dispatcher, so malformed requests surface through the future /
-  /// callback, and session_closed_error / admission_rejected_error are
-  /// thrown when the session is closed or the backlog is at the bound.
-  [[nodiscard]] std::future<packed_wave_result> submit_packed(
-      std::shared_ptr<const mig_network> net, std::vector<std::uint64_t> plane_words,
-      std::size_t num_waves, unsigned phases);
-  [[nodiscard]] std::future<packed_wave_result> submit_packed(
-      mig_network net, std::vector<std::uint64_t> plane_words, std::size_t num_waves,
-      unsigned phases);
-
-  /// Callback variants of the zero-copy packed submission.
+  /// Otherwise exactly like `submit`: validation (including the vector-size
+  /// check) happens on the dispatcher, and the same errors are thrown.
   void submit_packed(std::shared_ptr<const mig_network> net,
                      std::vector<std::uint64_t> plane_words, std::size_t num_waves,
-                     unsigned phases, serving_callback on_complete);
-  void submit_packed(mig_network net, std::vector<std::uint64_t> plane_words,
-                     std::size_t num_waves, unsigned phases, serving_callback on_complete);
-
-  /// Scenario variants of the zero-copy packed submission (see the
-  /// scenario `submit` overloads for the caching/coalescing contract).
+                     unsigned phases, serving_callback on_complete,
+                     submit_options opts = {});
+  /// Future form of the callback `submit_packed` above.
   [[nodiscard]] std::future<packed_wave_result> submit_packed(
       std::shared_ptr<const mig_network> net, std::vector<std::uint64_t> plane_words,
-      std::size_t num_waves, unsigned phases, tech_scenario scenario);
-  void submit_packed(std::shared_ptr<const mig_network> net,
-                     std::vector<std::uint64_t> plane_words, std::size_t num_waves,
-                     unsigned phases, tech_scenario scenario, serving_callback on_complete);
-
-  /// Policy-carrying submissions: `opts` adds priority, an absolute
-  /// deadline, a per-client fairness key, strict tail-bit validation, and
-  /// an optional scenario (see submit_options). Default-constructed options
-  /// make these behave exactly like the plain overloads above.
-  [[nodiscard]] std::future<packed_wave_result> submit(
-      std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases,
-      submit_options opts);
-  void submit(std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases,
-              submit_options opts, serving_callback on_complete);
-  [[nodiscard]] std::future<packed_wave_result> submit_packed(
-      std::shared_ptr<const mig_network> net, std::vector<std::uint64_t> plane_words,
-      std::size_t num_waves, unsigned phases, submit_options opts);
-  void submit_packed(std::shared_ptr<const mig_network> net,
-                     std::vector<std::uint64_t> plane_words, std::size_t num_waves,
-                     unsigned phases, submit_options opts, serving_callback on_complete);
+      std::size_t num_waves, unsigned phases, submit_options opts = {});
 
   /// Admission bound: while `pending() >= max_pending`, submissions throw
   /// admission_rejected_error instead of queueing (and are counted in
@@ -318,11 +284,11 @@ public:
   void set_admission_limit(std::size_t max_pending);
   [[nodiscard]] std::size_t admission_limit() const;
 
-  /// Overload shedding (see shed_policy): while the queue depth or the
-  /// recent queue-wait p99 crosses its threshold, submissions at or below
-  /// the policy's priority floor throw admission_rejected_error (counted in
-  /// metrics().requests_shed). Safe to adjust while the session is serving;
-  /// the default (zero) policy disables shedding.
+  /// Overload shedding (see shed_policy): while the queue depth or (with a
+  /// backlog) the recent queue-wait p99 crosses its threshold, submissions
+  /// at or below the policy's priority floor throw admission_rejected_error
+  /// (counted in metrics().requests_shed). Safe to adjust while the
+  /// session is serving; the default (zero) policy disables shedding.
   void set_shed_policy(shed_policy policy);
   [[nodiscard]] shed_policy get_shed_policy() const;
 
@@ -349,9 +315,10 @@ public:
   /// Dispatcher-level counters (gulps, coalescing, completions).
   [[nodiscard]] serving_metrics metrics() const;
   /// Drains the queue-wait sample reservoir: per-request milliseconds spent
-  /// between `submit` and the dispatcher picking the request up, for up to
-  /// the most recent 8192 requests since the previous take. Benchmarks turn
-  /// these into queue-wait percentiles.
+  /// between `submit` and the dispatcher picking the request up, for the
+  /// first 8192 requests dispatched since the previous take (later ones are
+  /// not recorded until the next take). Benchmarks take right after a
+  /// warm-up and turn these into queue-wait percentiles.
   [[nodiscard]] std::vector<double> take_queue_wait_samples();
   /// The synchronous session underneath — shares the cache with the async
   /// path, so mixed sync/async workloads reuse one set of programs.

@@ -342,15 +342,9 @@ void batch_session::evict_to_limits() {
   }
 }
 
-std::shared_ptr<const compiled_netlist> batch_session::compile(const mig_network& net,
-                                                               unsigned phases) {
-  return compile(net, phases, network_fingerprint(net), nullptr, nullptr);
-}
-
-std::shared_ptr<const compiled_netlist> batch_session::compile(const mig_network& net,
-                                                               unsigned phases,
-                                                               const tech_scenario& scenario) {
-  return compile(net, phases, network_fingerprint(net), &scenario, nullptr);
+std::shared_ptr<const compiled_netlist> batch_session::compile(
+    const mig_network& net, unsigned phases, const tech_scenario* scenario) {
+  return compile(net, phases, network_fingerprint(net), scenario, nullptr);
 }
 
 std::shared_ptr<const compiled_netlist> batch_session::lookup(const cache_key& key) {
@@ -425,13 +419,7 @@ std::shared_ptr<const compiled_netlist> batch_session::compile(const mig_network
 }
 
 packed_wave_result batch_session::run(const mig_network& net, const wave_batch& waves,
-                                      unsigned phases) {
-  const auto compiled = compile(net, phases);
-  return run_waves_parallel(*compiled, waves, phases, executor_);
-}
-
-packed_wave_result batch_session::run(const mig_network& net, const wave_batch& waves,
-                                      unsigned phases, const tech_scenario& scenario) {
+                                      unsigned phases, const tech_scenario* scenario) {
   const auto compiled = compile(net, phases, scenario);
   return run_waves_parallel(*compiled, waves, phases, executor_);
 }

@@ -47,10 +47,14 @@ void serving_session::enqueue(request req) {
     // Load shedding: while the session looks overloaded (queue depth or
     // recent queue-wait p99 over its threshold), requests at or below the
     // policy's priority floor are rejected before consuming a slot, so the
-    // traffic that can still meet its deadlines keeps flowing.
+    // traffic that can still meet its deadlines keeps flowing. The wait p99
+    // counts only while a backlog exists: it is refreshed from dispatched
+    // requests alone, so after a burst it would otherwise stay high forever
+    // on an idle session fed only sheddable traffic — and a request arriving
+    // at an empty queue is picked up at once anyway.
     const bool overloaded =
         (shed_policy_.queue_depth != 0 && queue_.size() >= shed_policy_.queue_depth) ||
-        (shed_policy_.queue_wait_p99_ms > 0.0 &&
+        (shed_policy_.queue_wait_p99_ms > 0.0 && !queue_.empty() &&
          cached_wait_p99_ms_ > shed_policy_.queue_wait_p99_ms);
     if (overloaded && req.opts.priority >= shed_policy_.min_priority) {
       ++metrics_.requests_rejected;
@@ -68,150 +72,27 @@ void serving_session::enqueue(request req) {
   queue_ready_.notify_one();
 }
 
-void serving_session::submit(std::shared_ptr<const mig_network> net, wave_batch waves,
-                             unsigned phases, serving_callback on_complete) {
-  request req;
-  req.net = std::move(net);
-  req.waves = std::move(waves);
-  req.phases = phases;
-  req.done = std::move(on_complete);
-  enqueue(std::move(req));
-}
+namespace {
 
-void serving_session::submit(mig_network net, wave_batch waves, unsigned phases,
-                             serving_callback on_complete) {
-  submit(std::make_shared<const mig_network>(std::move(net)), std::move(waves), phases,
-         std::move(on_complete));
-}
-
-std::future<packed_wave_result> serving_session::submit(
-    std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases) {
+/// The future forms' one adapter: returns a completion callback that
+/// settles a fresh promise, whose future lands in `future`.
+serving_callback settle_promise(std::future<packed_wave_result>& future) {
   auto promise = std::make_shared<std::promise<packed_wave_result>>();
-  auto future = promise->get_future();
-  submit(std::move(net), std::move(waves), phases,
-         [promise](packed_wave_result result, std::exception_ptr error) {
-           if (error) {
-             promise->set_exception(error);
-           } else {
-             promise->set_value(std::move(result));
-           }
-         });
-  return future;
+  future = promise->get_future();
+  return [promise](packed_wave_result result, std::exception_ptr error) {
+    if (error) {
+      promise->set_exception(error);
+    } else {
+      promise->set_value(std::move(result));
+    }
+  };
 }
 
-std::future<packed_wave_result> serving_session::submit(mig_network net, wave_batch waves,
-                                                        unsigned phases) {
-  return submit(std::make_shared<const mig_network>(std::move(net)), std::move(waves),
-                phases);
-}
+}  // namespace
 
 void serving_session::submit(std::shared_ptr<const mig_network> net, wave_batch waves,
-                             unsigned phases, tech_scenario scenario,
-                             serving_callback on_complete) {
-  request req;
-  req.net = std::move(net);
-  req.waves = std::move(waves);
-  req.phases = phases;
-  req.opts.scenario = std::make_shared<const tech_scenario>(std::move(scenario));
-  req.done = std::move(on_complete);
-  enqueue(std::move(req));
-}
-
-std::future<packed_wave_result> serving_session::submit(
-    std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases,
-    tech_scenario scenario) {
-  auto promise = std::make_shared<std::promise<packed_wave_result>>();
-  auto future = promise->get_future();
-  submit(std::move(net), std::move(waves), phases, std::move(scenario),
-         [promise](packed_wave_result result, std::exception_ptr error) {
-           if (error) {
-             promise->set_exception(error);
-           } else {
-             promise->set_value(std::move(result));
-           }
-         });
-  return future;
-}
-
-void serving_session::submit_packed(std::shared_ptr<const mig_network> net,
-                                    std::vector<std::uint64_t> plane_words,
-                                    std::size_t num_waves, unsigned phases,
-                                    serving_callback on_complete) {
-  request req;
-  req.net = std::move(net);
-  req.plane_words = std::move(plane_words);
-  req.packed_waves = num_waves;
-  req.packed = true;
-  req.phases = phases;
-  req.done = std::move(on_complete);
-  enqueue(std::move(req));
-}
-
-void serving_session::submit_packed(mig_network net, std::vector<std::uint64_t> plane_words,
-                                    std::size_t num_waves, unsigned phases,
-                                    serving_callback on_complete) {
-  submit_packed(std::make_shared<const mig_network>(std::move(net)), std::move(plane_words),
-                num_waves, phases, std::move(on_complete));
-}
-
-std::future<packed_wave_result> serving_session::submit_packed(
-    std::shared_ptr<const mig_network> net, std::vector<std::uint64_t> plane_words,
-    std::size_t num_waves, unsigned phases) {
-  auto promise = std::make_shared<std::promise<packed_wave_result>>();
-  auto future = promise->get_future();
-  submit_packed(std::move(net), std::move(plane_words), num_waves, phases,
-                [promise](packed_wave_result result, std::exception_ptr error) {
-                  if (error) {
-                    promise->set_exception(error);
-                  } else {
-                    promise->set_value(std::move(result));
-                  }
-                });
-  return future;
-}
-
-std::future<packed_wave_result> serving_session::submit_packed(
-    mig_network net, std::vector<std::uint64_t> plane_words, std::size_t num_waves,
-    unsigned phases) {
-  return submit_packed(std::make_shared<const mig_network>(std::move(net)),
-                       std::move(plane_words), num_waves, phases);
-}
-
-void serving_session::submit_packed(std::shared_ptr<const mig_network> net,
-                                    std::vector<std::uint64_t> plane_words,
-                                    std::size_t num_waves, unsigned phases,
-                                    tech_scenario scenario, serving_callback on_complete) {
-  request req;
-  req.net = std::move(net);
-  req.plane_words = std::move(plane_words);
-  req.packed_waves = num_waves;
-  req.packed = true;
-  req.phases = phases;
-  req.opts.scenario = std::make_shared<const tech_scenario>(std::move(scenario));
-  req.done = std::move(on_complete);
-  enqueue(std::move(req));
-}
-
-std::future<packed_wave_result> serving_session::submit_packed(
-    std::shared_ptr<const mig_network> net, std::vector<std::uint64_t> plane_words,
-    std::size_t num_waves, unsigned phases, tech_scenario scenario) {
-  auto promise = std::make_shared<std::promise<packed_wave_result>>();
-  auto future = promise->get_future();
-  submit_packed(std::move(net), std::move(plane_words), num_waves, phases,
-                std::move(scenario),
-                [promise](packed_wave_result result, std::exception_ptr error) {
-                  if (error) {
-                    promise->set_exception(error);
-                  } else {
-                    promise->set_value(std::move(result));
-                  }
-                });
-  return future;
-}
-
-void serving_session::submit(std::shared_ptr<const mig_network> net, wave_batch waves,
-                             unsigned phases, submit_options opts,
-                             serving_callback on_complete) {
+                             unsigned phases, serving_callback on_complete,
+                             submit_options opts) {
   request req;
   req.net = std::move(net);
   req.waves = std::move(waves);
@@ -224,23 +105,15 @@ void serving_session::submit(std::shared_ptr<const mig_network> net, wave_batch 
 std::future<packed_wave_result> serving_session::submit(
     std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases,
     submit_options opts) {
-  auto promise = std::make_shared<std::promise<packed_wave_result>>();
-  auto future = promise->get_future();
-  submit(std::move(net), std::move(waves), phases, std::move(opts),
-         [promise](packed_wave_result result, std::exception_ptr error) {
-           if (error) {
-             promise->set_exception(error);
-           } else {
-             promise->set_value(std::move(result));
-           }
-         });
+  std::future<packed_wave_result> future;
+  submit(std::move(net), std::move(waves), phases, settle_promise(future), std::move(opts));
   return future;
 }
 
 void serving_session::submit_packed(std::shared_ptr<const mig_network> net,
                                     std::vector<std::uint64_t> plane_words,
                                     std::size_t num_waves, unsigned phases,
-                                    submit_options opts, serving_callback on_complete) {
+                                    serving_callback on_complete, submit_options opts) {
   request req;
   req.net = std::move(net);
   req.plane_words = std::move(plane_words);
@@ -255,16 +128,9 @@ void serving_session::submit_packed(std::shared_ptr<const mig_network> net,
 std::future<packed_wave_result> serving_session::submit_packed(
     std::shared_ptr<const mig_network> net, std::vector<std::uint64_t> plane_words,
     std::size_t num_waves, unsigned phases, submit_options opts) {
-  auto promise = std::make_shared<std::promise<packed_wave_result>>();
-  auto future = promise->get_future();
-  submit_packed(std::move(net), std::move(plane_words), num_waves, phases, std::move(opts),
-                [promise](packed_wave_result result, std::exception_ptr error) {
-                  if (error) {
-                    promise->set_exception(error);
-                  } else {
-                    promise->set_value(std::move(result));
-                  }
-                });
+  std::future<packed_wave_result> future;
+  submit_packed(std::move(net), std::move(plane_words), num_waves, phases,
+                settle_promise(future), std::move(opts));
   return future;
 }
 

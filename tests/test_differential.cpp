@@ -80,7 +80,8 @@ void expect_paths_agree(const diff_case& c, engine::parallel_executor& executor,
   // Path 4 — async serving session (future API, bounded cache, optimizer on).
   engine::serving_session serving{executor, c.options, {.max_entries = 2}, 0,
                                   {.opt_level = 2}};
-  const auto async = serving.submit(net, batch, c.phases).get();
+  const auto async =
+      serving.submit(std::make_shared<const mig_network>(net), batch, c.phases).get();
 
   ASSERT_EQ(packed.unpack(), scalar.outputs) << what << ": packed vs scalar";
   EXPECT_EQ(packed.ticks, scalar.ticks) << what;
@@ -317,7 +318,10 @@ TEST(differential, submit_packed_agrees_with_scalar_run_waves) {
                   planes.begin() + static_cast<std::ptrdiff_t>(i * batch.num_chunks()));
     }
 
-    const auto async = serving.submit_packed(net, std::move(planes), num_waves, 3).get();
+    const auto async = serving
+                           .submit_packed(std::make_shared<const mig_network>(net),
+                                          std::move(planes), num_waves, 3)
+                           .get();
     const auto scalar = run_waves(balanced.net, waves, 3, balanced.schedule);
     ASSERT_EQ(async.unpack(), scalar.outputs) << num_waves << " waves";
     EXPECT_EQ(async.ticks, scalar.ticks) << num_waves << " waves";
@@ -330,7 +334,7 @@ TEST(differential, submit_packed_agrees_with_scalar_run_waves) {
 
   // Malformed plane words surface through the future, like every other
   // validation error of the serving API.
-  const auto net = gen::random_mig({8, 60, 0.5, 6, 99});
+  const auto net = std::make_shared<const mig_network>(gen::random_mig({8, 60, 0.5, 6, 99}));
   auto bad = serving.submit_packed(net, std::vector<std::uint64_t>(3, 0), 100, 3);
   EXPECT_THROW((void)bad.get(), std::invalid_argument);
 }
@@ -352,6 +356,8 @@ TEST(differential, every_builtin_scenario_agrees_across_all_engine_paths) {
 
   for (const auto& name : tech_scenario::names()) {
     const auto scenario = tech_scenario::by_name(name);
+    engine::submit_options tagged;
+    tagged.scenario = std::make_shared<const tech_scenario>(scenario);
     for (const std::size_t num_waves : {1ull, 65ull, 257ull}) {
       const auto net = gen::random_mig({11, 140, 0.5, 8, 2200 + num_waves});
       const auto shared = std::make_shared<const mig_network>(net);
@@ -370,9 +376,9 @@ TEST(differential, every_builtin_scenario_agrees_across_all_engine_paths) {
       // Path 2 — packed multi-word kernel on the same program.
       const auto packed = engine::run_waves_packed(reference, batch, 3);
       // Path 3 — sharded parallel run through the scenario-tagged cache.
-      const auto parallel = session.run(net, batch, 3, scenario);
-      // Path 4 — async serving with the scenario submit overload.
-      const auto async = serving.submit(shared, batch, 3, scenario).get();
+      const auto parallel = session.run(net, batch, 3, &scenario);
+      // Path 4 — async serving, the scenario carried in submit_options.
+      const auto async = serving.submit(shared, batch, 3, tagged).get();
 
       ASSERT_EQ(packed.unpack(), scalar.outputs) << what << ": packed vs scalar";
       EXPECT_EQ(parallel.words, packed.words) << what << ": parallel vs packed";

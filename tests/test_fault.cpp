@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -314,6 +315,67 @@ TEST_F(fault_suite, shedding_rejects_low_priority_before_it_consumes_anything) {
   auto ok_now = serving.submit_packed(net, random_planes(net->num_pis(), 64, 5), 64, 3,
                                       low_again);
   EXPECT_EQ(ok_now.get().num_waves, 64u);
+  serving.close();
+}
+
+// The queue-wait p99 criterion recovers on an idle session. The p99 is
+// refreshed from dispatched requests only, so a shed request never lowers
+// it: after one slow burst, a session fed only sheddable traffic would stay
+// "overloaded" forever. The criterion therefore counts only while a backlog
+// exists — it still sheds behind a queued request, and stops once the
+// queue is empty.
+TEST_F(fault_suite, wait_p99_shedding_ends_once_the_queue_is_empty) {
+  engine::parallel_executor executor{2};
+  engine::serving_session serving{executor, {}, {}, 1};
+  const auto net = std::make_shared<const mig_network>(gen::ripple_adder_circuit(4));
+
+  engine::shed_policy policy;
+  policy.queue_wait_p99_ms = 20.0;
+  policy.min_priority = 192;
+  serving.set_shed_policy(policy);
+
+  // A slow burst: with the dispatcher asleep in a 200 ms stall, 40
+  // requests queue up behind it, so every one of them waits far beyond the
+  // 20 ms threshold and the refreshed p99 crosses it.
+  fault::fault_config stall;
+  stall.action = fault::fault_action::stall;
+  stall.delay = std::chrono::milliseconds{200};
+  fault::arm("serving.dispatcher.stall", stall);
+  auto wake = serving.submit_packed(net, random_planes(net->num_pis(), 64, 1), 64, 3);
+  EXPECT_EQ(wake.get().num_waves, 64u);
+  std::vector<std::future<engine::packed_wave_result>> burst;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    burst.push_back(
+        serving.submit_packed(net, random_planes(net->num_pis(), 64, 10 + i), 64, 3));
+  }
+  fault::disarm_all();
+  for (auto& f : burst) {
+    EXPECT_EQ(f.get().num_waves, 64u);
+  }
+  serving.drain();
+  ASSERT_EQ(serving.pending(), 0u);
+
+  // Idle: the same low priority is accepted, however slow the burst was.
+  engine::submit_options low;
+  low.priority = 200;
+  std::future<engine::packed_wave_result> after;
+  ASSERT_NO_THROW(after = serving.submit_packed(net, random_planes(net->num_pis(), 64, 2),
+                                                64, 3, low));
+  EXPECT_EQ(after.get().num_waves, 64u);
+  EXPECT_EQ(serving.metrics().requests_shed, 0u);
+
+  // Behind a backlog the slow p99 still sheds: park the dispatcher again
+  // and hold one request in the queue.
+  fault::arm("serving.dispatcher.stall", stall);
+  auto wake_again = serving.submit_packed(net, random_planes(net->num_pis(), 64, 3), 64, 3);
+  EXPECT_EQ(wake_again.get().num_waves, 64u);
+  auto held = serving.submit_packed(net, random_planes(net->num_pis(), 64, 4), 64, 3);
+  EXPECT_THROW((void)serving.submit_packed(net, random_planes(net->num_pis(), 64, 5), 64,
+                                           3, low),
+               engine::admission_rejected_error);
+  EXPECT_EQ(serving.metrics().requests_shed, 1u);
+  fault::disarm_all();
+  EXPECT_EQ(held.get().num_waves, 64u);
   serving.close();
 }
 

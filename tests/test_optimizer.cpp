@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -237,7 +238,8 @@ TEST(optimizer, opt_levels_are_bit_identical_across_all_execution_paths) {
       EXPECT_EQ(parallel.words, reference.words) << "parallel, level " << level;
 
       engine::serving_session serving{executor, {}, {}, 0, copts};
-      const auto async = serving.submit(net, batch, phases).get();
+      const auto async =
+          serving.submit(std::make_shared<const mig_network>(net), batch, phases).get();
       EXPECT_EQ(async.words, reference.words) << "async, level " << level;
 
       // Scalar cycle-accurate path: the tick program is never optimized,

@@ -194,18 +194,18 @@ TEST(serving_session, futures_are_bit_identical_to_packed) {
   engine::parallel_executor executor{4};
   engine::serving_session serving{executor};
 
-  const auto net = gen::multiplier_circuit(4);
+  const auto net = std::make_shared<const mig_network>(gen::multiplier_circuit(4));
   std::vector<engine::wave_batch> batches;
   std::vector<std::future<engine::packed_wave_result>> futures;
   for (int i = 0; i < 6; ++i) {
-    batches.push_back(batch_for(net, 100 + 17 * i, 100 + i));
+    batches.push_back(batch_for(*net, 100 + 17 * i, 100 + i));
   }
   for (const auto& batch : batches) {
     futures.push_back(serving.submit(net, batch, 3));
   }
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const auto got = futures[i].get();
-    const auto want = packed_reference(net, batches[i], 3);
+    const auto want = packed_reference(*net, batches[i], 3);
     EXPECT_EQ(got.words, want.words) << "request " << i;
     EXPECT_EQ(got.num_waves, want.num_waves) << "request " << i;
     EXPECT_EQ(got.ticks, want.ticks) << "request " << i;
@@ -224,9 +224,9 @@ TEST(serving_session, callback_variant_completes_with_result) {
   engine::parallel_executor executor{2};
   engine::serving_session serving{executor};
 
-  const auto net = gen::ripple_adder_circuit(5);
-  const auto batch = batch_for(net, 130, 77);
-  const auto want = packed_reference(net, batch, 3);
+  const auto net = std::make_shared<const mig_network>(gen::ripple_adder_circuit(5));
+  const auto batch = batch_for(*net, 130, 77);
+  const auto want = packed_reference(*net, batch, 3);
 
   std::promise<engine::packed_wave_result> delivered;
   serving.submit(net, batch, 3,
@@ -240,15 +240,15 @@ TEST(serving_session, callback_variant_completes_with_result) {
 TEST(serving_session, errors_surface_through_future_and_callback) {
   engine::parallel_executor executor{2};
   engine::serving_session serving{executor};
-  const auto net = gen::ripple_adder_circuit(4);
+  const auto net = std::make_shared<const mig_network>(gen::ripple_adder_circuit(4));
 
   // phases == 0 is rejected by the packed-path validation on the dispatcher.
-  auto bad_phases = serving.submit(net, batch_for(net, 10, 1), 0);
+  auto bad_phases = serving.submit(net, batch_for(*net, 10, 1), 0);
   EXPECT_THROW(bad_phases.get(), std::invalid_argument);
 
   // PI-count mismatch reaches the callback as an exception_ptr.
   std::promise<std::exception_ptr> seen;
-  serving.submit(net, engine::wave_batch{net.num_pis() + 3}, 3,
+  serving.submit(net, engine::wave_batch{net->num_pis() + 3}, 3,
                  [&](engine::packed_wave_result, std::exception_ptr error) {
                    seen.set_value(error);
                  });
@@ -257,7 +257,7 @@ TEST(serving_session, errors_surface_through_future_and_callback) {
   EXPECT_THROW(std::rethrow_exception(error), std::invalid_argument);
 
   // A failed request does not poison the session.
-  EXPECT_EQ(serving.submit(net, batch_for(net, 64, 2), 3).get().num_waves, 64u);
+  EXPECT_EQ(serving.submit(net, batch_for(*net, 64, 2), 3).get().num_waves, 64u);
 }
 
 TEST(serving_session, drain_close_and_submit_after_close) {
@@ -265,10 +265,10 @@ TEST(serving_session, drain_close_and_submit_after_close) {
   engine::serving_session serving{executor, {}, {}, 2};
   EXPECT_EQ(serving.num_dispatchers(), 2u);
 
-  const auto net = gen::parity_circuit(10);
+  const auto net = std::make_shared<const mig_network>(gen::parity_circuit(10));
   std::vector<std::future<engine::packed_wave_result>> futures;
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(serving.submit(net, batch_for(net, 200, i), 3));
+    futures.push_back(serving.submit(net, batch_for(*net, 200, i), 3));
   }
   serving.drain();
   EXPECT_EQ(serving.pending(), 0u);
@@ -280,14 +280,14 @@ TEST(serving_session, drain_close_and_submit_after_close) {
   serving.close();
   serving.close();  // idempotent
   EXPECT_EQ(serving.num_dispatchers(), 0u);
-  EXPECT_THROW((void)serving.submit(net, batch_for(net, 10, 1), 3), std::runtime_error);
+  EXPECT_THROW((void)serving.submit(net, batch_for(*net, 10, 1), 3), std::runtime_error);
 }
 
 TEST(serving_session, callbacks_may_submit_follow_up_requests) {
   engine::parallel_executor executor{2};
   engine::serving_session serving{executor};
-  const auto net = gen::ripple_adder_circuit(4);
-  const auto batch = batch_for(net, 64, 31);
+  const auto net = std::make_shared<const mig_network>(gen::ripple_adder_circuit(4));
+  const auto batch = batch_for(*net, 64, 31);
 
   std::promise<std::size_t> chained_waves;
   serving.submit(net, batch, 3,
@@ -312,7 +312,7 @@ TEST(serving_session, eviction_races_in_flight_requests) {
   engine::serving_session serving{executor, {}, {.max_entries = 1}, 2};
 
   struct workload {
-    mig_network net;
+    std::shared_ptr<const mig_network> net;
     engine::wave_batch batch;
     std::vector<std::uint64_t> want;
   };
@@ -321,7 +321,8 @@ TEST(serving_session, eviction_races_in_flight_requests) {
                           gen::parity_circuit(9)}) {
     auto batch = batch_for(net, 150, net.num_pis());
     auto want = packed_reference(net, batch, 3).words;
-    workloads.push_back({net, std::move(batch), std::move(want)});
+    workloads.push_back(
+        {std::make_shared<const mig_network>(net), std::move(batch), std::move(want)});
   }
 
   constexpr int per_thread = 9;
@@ -477,7 +478,7 @@ TEST(serving_coalescing, shared_ptr_submit_skips_the_deep_copy) {
   const auto batch = batch_for(*net, 120, 55);
   const auto want = packed_reference(*net, batch, 3);
 
-  // Future and callback shared_ptr overloads, plus the packed variant.
+  // Four legs: future and callback, batch and packed.
   EXPECT_EQ(serving.submit(net, batch, 3).get().words, want.words);
   std::promise<engine::packed_wave_result> delivered;
   serving.submit(net, batch, 3,
@@ -493,11 +494,18 @@ TEST(serving_coalescing, shared_ptr_submit_skips_the_deep_copy) {
     std::copy_n(packed_batch.plane(i), packed_batch.num_chunks(),
                 planes.begin() + static_cast<std::ptrdiff_t>(i * packed_batch.num_chunks()));
   }
-  EXPECT_EQ(
-      serving.submit_packed(net, std::move(planes), packed_batch.num_waves(), 3).get().words,
-      packed_reference(*net, packed_batch, 3).words);
+  const auto packed_want = packed_reference(*net, packed_batch, 3);
+  EXPECT_EQ(serving.submit_packed(net, planes, packed_batch.num_waves(), 3).get().words,
+            packed_want.words);
+  std::promise<engine::packed_wave_result> packed_delivered;
+  serving.submit_packed(net, std::move(planes), packed_batch.num_waves(), 3,
+                        [&](engine::packed_wave_result result, std::exception_ptr error) {
+                          ASSERT_EQ(error, nullptr);
+                          packed_delivered.set_value(std::move(result));
+                        });
+  EXPECT_EQ(packed_delivered.get_future().get().words, packed_want.words);
   serving.drain();
-  EXPECT_EQ(serving.stats().hits + serving.stats().misses, 3u);
+  EXPECT_EQ(serving.stats().hits + serving.stats().misses, 4u);
   EXPECT_EQ(serving.stats().entries, 1u);
 }
 
@@ -586,11 +594,15 @@ TEST(serving_scenarios, same_netlist_per_scenario_programs_stay_separate) {
   const auto batch = batch_for(*net, 100, 17);
   const auto reference = packed_reference(*net, batch, 3);
 
+  engine::submit_options swd;
+  swd.scenario = std::make_shared<const tech_scenario>(tech_scenario::swd());
+  engine::submit_options fdm;
+  fdm.scenario = std::make_shared<const tech_scenario>(tech_scenario::fdm_swd());
   std::vector<std::future<engine::packed_wave_result>> futures;
   for (int round = 0; round < 3; ++round) {
     futures.push_back(serving.submit(net, batch, 3));
-    futures.push_back(serving.submit(net, batch, 3, tech_scenario::swd()));
-    futures.push_back(serving.submit(net, batch, 3, tech_scenario::fdm_swd()));
+    futures.push_back(serving.submit(net, batch, 3, swd));
+    futures.push_back(serving.submit(net, batch, 3, fdm));
   }
   for (auto& future : futures) {
     EXPECT_EQ(future.get().words, reference.words);
@@ -620,10 +632,10 @@ TEST(serving_scenarios, packed_scenario_submission_matches_the_reference) {
                 planes.begin() + static_cast<std::ptrdiff_t>(i * batch.num_chunks()));
   }
 
+  engine::submit_options nml;
+  nml.scenario = std::make_shared<const tech_scenario>(tech_scenario::nml());
   const auto got =
-      serving.submit_packed(net, std::move(planes), batch.num_waves(), 3,
-                            tech_scenario::nml())
-          .get();
+      serving.submit_packed(net, std::move(planes), batch.num_waves(), 3, std::move(nml)).get();
   EXPECT_EQ(got.words, reference.words);
   EXPECT_EQ(got.num_waves, reference.num_waves);
 }
@@ -730,7 +742,7 @@ TEST(serving_policies, priority_orders_the_gulp) {
   const auto submit_with_priority = [&](int tag, std::uint8_t priority) {
     engine::submit_options opts;
     opts.priority = priority;
-    serving.submit(net, batch_for(*net, 40 + tag, 100 + tag), 3, opts, record(tag));
+    serving.submit(net, batch_for(*net, 40 + tag, 100 + tag), 3, record(tag), opts);
   };
   submit_with_priority(0, 200);
   submit_with_priority(1, 10);
@@ -764,12 +776,14 @@ TEST(serving_policies, clients_round_robin_within_a_priority_class) {
   const auto submit_for_client = [&](int tag, std::uint64_t client) {
     engine::submit_options opts;
     opts.client_id = client;
-    serving.submit(net, batch_for(*net, 40 + tag, 200 + tag), 3, opts,
-                   [&, tag](engine::packed_wave_result, std::exception_ptr error) {
-                     ASSERT_EQ(error, nullptr);
-                     std::lock_guard<std::mutex> lock{order_mutex};
-                     order.push_back(tag);
-                   });
+    serving.submit(
+        net, batch_for(*net, 40 + tag, 200 + tag), 3,
+        [&, tag](engine::packed_wave_result, std::exception_ptr error) {
+          ASSERT_EQ(error, nullptr);
+          std::lock_guard<std::mutex> lock{order_mutex};
+          order.push_back(tag);
+        },
+        opts);
   };
   // Client 1 floods three requests before client 2's lone request arrives.
   submit_for_client(0, 1);
