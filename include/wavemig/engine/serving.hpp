@@ -122,10 +122,11 @@ struct submit_options {
 struct shed_policy {
   /// Queue depth at which the session counts as overloaded; 0 = ignore.
   std::size_t queue_depth{0};
-  /// Recent queue-wait p99 (milliseconds, over the last ~128 dispatched
-  /// requests) above which the session counts as overloaded while a backlog
-  /// exists (an empty queue picks the next request up at once, whatever
-  /// the past waits were); 0 = ignore.
+  /// Recent queue-wait p99 (milliseconds, over the last ~128 requests
+  /// dispatched since the dispatcher last left the queue empty) above which
+  /// the session counts as overloaded while a backlog exists (an empty
+  /// queue picks the next request up at once, and a drained queue ends the
+  /// overload those waits measured); 0 = ignore.
   double queue_wait_p99_ms{0.0};
   /// Priority bytes >= this are shed while overloaded. The default 192
   /// sheds the bottom quarter of the priority space and never touches the
@@ -417,7 +418,8 @@ private:
   serving_metrics metrics_;
   shed_policy shed_policy_{};
   /// Ring of the most recent queue waits (ms), feeding the cached p99 the
-  /// shed check reads — O(1) per submission, recomputed every few samples.
+  /// shed check reads — O(1) per submission, recomputed every few samples;
+  /// emptied, with the cached p99, whenever a gulp leaves the queue empty.
   std::vector<double> recent_waits_;
   std::size_t recent_at_{0};
   std::size_t samples_since_p99_{0};

@@ -91,6 +91,12 @@ public:
   /// "po<N>".
   std::uint32_t create_po(signal driver, std::string name = {});
 
+  /// Reserves node storage for `num_nodes` nodes in total (the constant and
+  /// the PIs included), so a pass that knows how large its output network
+  /// grows appends without ever regrowing and copying the node array. Adds
+  /// no node and changes no query's result.
+  void reserve(std::size_t num_nodes) { nodes_.reserve(num_nodes); }
+
   /// @}
   /// @name Structure queries
   /// @{

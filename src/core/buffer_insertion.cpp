@@ -2,33 +2,41 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
+#include "edge_taps.hpp"
 #include "wavemig/levels.hpp"
 
 namespace wavemig {
 
 namespace {
 
-/// Key identifying one physical consumer connection of a driver: either a
-/// fan-in slot of a node or a primary-output position.
-std::uint64_t edge_key(node_index consumer, std::uint32_t slot) {
-  return (static_cast<std::uint64_t>(consumer) << 32) | slot;
-}
+using edge_span = std::span<const fanout_map::edge>;
 
 class balance_builder {
 public:
   balance_builder(const mig_network& old_net, const buffer_insertion_options& options)
       : old_{old_net},
         options_{options},
+        capacity_{options.strategy == buffer_strategy::tree && options.fanout_limit
+                      ? *options.fanout_limit
+                      : std::numeric_limits<std::uint64_t>::max()},
         levels_{compute_schedule(old_net, options.schedule)},
-        fanouts_{compute_fanouts(old_net)} {}
+        fanouts_{compute_fanouts(old_net)},
+        taps_{old_net} {}
 
   buffer_insertion_result run() {
     buffer_insertion_result result;
     result.depth_before = levels_.depth;
+
+    // Every old node is rebuilt (structural hashing can only merge some),
+    // plus exactly the buffers plan_driver hangs off the drivers.
+    std::uint64_t planned = 0;
+    old_.foreach_node([&](node_index n) { planned += planned_buffers(n); });
+    new_net_.reserve(old_.num_nodes() + planned);
+    schedule_.reserve(old_.num_nodes() + planned);
 
     std::vector<signal> map(old_.num_nodes(), constant0);
     old_.foreach_node([&](node_index n) {
@@ -61,8 +69,7 @@ public:
       if (old_.is_constant(driver.index())) {
         s = driver;  // constant outputs carry no wave; no padding needed
       } else {
-        s = taps_.at(edge_key(fanout_map::po_consumer, position))
-                .complement_if(driver.is_complemented());
+        s = taps_.po(position).complement_if(driver.is_complemented());
       }
       new_net_.create_po(s, old_.po_name(position));
     }
@@ -106,121 +113,123 @@ private:
     }
   }
 
+  /// Number of buffers plan_driver hangs off driver `n`.
+  std::uint64_t planned_buffers(node_index n) {
+    const edge_span edges = fanouts_.edges[n];
+    std::uint64_t buffers = 0;
+    if (options_.strategy == buffer_strategy::naive) {
+      for (const auto& e : edges) {
+        buffers += gap_of(n, e);
+      }
+      return buffers;
+    }
+    const std::uint32_t max_gap = shape_tree(n, edges);
+    for (std::uint32_t p = 1; p <= max_gap; ++p) {
+      buffers += vertices_[p];
+    }
+    return buffers;
+  }
+
   /// Plans the buffer structure hanging off driver `n` (whose rebuilt signal
   /// is `s`) and records the tap signal of every consumer edge.
   void plan_driver(node_index n, signal s) {
-    const auto& edges = fanouts_.edges[n];
+    const edge_span edges = fanouts_.edges[n];
     if (edges.empty()) {
       return;
     }
-    switch (options_.strategy) {
-      case buffer_strategy::naive:
-        for (const auto& e : edges) {
-          signal tap = s;
-          for (std::uint32_t i = 0; i < gap_of(n, e); ++i) {
-            tap = new_net_.create_buffer(tap);
-            record_schedule(tap, levels_[n] + i + 1);
-          }
-          taps_[edge_key(e.consumer, e.slot)] = tap;
-        }
-        break;
-      case buffer_strategy::chain: {
-        // Algorithm 1: one shared chain; fan-outs sorted by required depth
-        // tap it at their position (extending lazily gives the identical
-        // structure for any processing order).
-        std::vector<signal> chain{s};
-        for (const auto& e : edges) {
-          const std::uint32_t gap = gap_of(n, e);
-          while (chain.size() <= gap) {
-            chain.push_back(new_net_.create_buffer(chain.back()));
-            record_schedule(chain.back(),
-                            levels_[n] + static_cast<std::uint32_t>(chain.size()) - 1);
-          }
-          taps_[edge_key(e.consumer, e.slot)] = chain[gap];
-        }
-        break;
+    if (options_.strategy != buffer_strategy::naive) {
+      plan_tree(n, s, edges);
+      return;
+    }
+    for (const auto& e : edges) {
+      signal tap = s;
+      for (std::uint32_t i = 0; i < gap_of(n, e); ++i) {
+        tap = new_net_.create_buffer(tap);
+        record_schedule(tap, levels_[n] + i + 1);
       }
-      case buffer_strategy::tree:
-        plan_tree(n, s, edges);
-        break;
+      taps_[e] = tap;
     }
   }
 
-  void plan_tree(node_index n, signal s, const std::vector<fanout_map::edge>& edges) {
-    const std::uint64_t cap =
-        options_.fanout_limit ? *options_.fanout_limit : std::numeric_limits<std::uint64_t>::max();
-
+  /// Sizes the buffer tree of driver `n` and returns its depth (the largest
+  /// gap): taps_at_[p] consumer edges attach after p buffers, and
+  /// vertices_[p] buffers sit at depth p, 1 <= p <= depth.
+  std::uint32_t shape_tree(node_index n, edge_span edges) {
     std::uint32_t max_gap = 0;
     for (const auto& e : edges) {
       max_gap = std::max(max_gap, gap_of(n, e));
     }
-
-    // taps_at[p]: consumer edges attaching after p buffers.
-    std::vector<std::vector<const fanout_map::edge*>> taps_at(max_gap + 1);
+    taps_at_.assign(max_gap + 1, 0);
     for (const auto& e : edges) {
-      taps_at[gap_of(n, e)].push_back(&e);
+      ++taps_at_[gap_of(n, e)];
     }
-
-    // Bottom-up vertex counts: vertices at position p drive the taps at p
-    // plus the carrier buffers at p+1.
-    std::vector<std::uint64_t> vertices(max_gap + 2, 0);
+    // Bottom-up vertex counts: vertices at depth p drive the taps at p plus
+    // the carrier buffers at p+1.
+    vertices_.assign(max_gap + 2, 0);
     for (std::uint32_t p = max_gap; p >= 1; --p) {
-      const std::uint64_t demand = taps_at[p].size() + vertices[p + 1];
-      // Overflow-safe ceiling division (cap may be the unlimited sentinel).
-      vertices[p] = demand == 0 ? 0 : 1 + (demand - 1) / cap;
+      const std::uint64_t demand = taps_at_[p] + vertices_[p + 1];
+      // Overflow-safe ceiling division (the capacity may be unlimited).
+      vertices_[p] = demand == 0 ? 0 : 1 + (demand - 1) / capacity_;
     }
-    if (taps_at[0].size() + vertices[1] > cap) {
+    return max_gap;
+  }
+
+  /// Buffer tree of driver `n`, every vertex driving at most capacity_
+  /// children. With unlimited capacity it is the paper's Algorithm 1: one
+  /// shared chain that each fan-out taps at its required depth.
+  void plan_tree(node_index n, signal s, edge_span edges) {
+    const std::uint32_t max_gap = shape_tree(n, edges);
+    if (taps_at_[0] + vertices_[1] > capacity_) {
       throw std::invalid_argument{
           "insert_buffers: driver fan-out exceeds the buffer-tree capacity; "
           "run fanout restriction first"};
     }
 
-    // Top-down materialization.
-    std::vector<signal> current{s};
-    std::vector<std::uint64_t> used{0};
+    // Children fill the vertices of the depth above them in order,
+    // capacity_ to a vertex: first the carrier buffers of the next depth,
+    // then the taps in edge order. The buffers of one depth are created
+    // together, so first_[p] + i names vertex i of depth p.
+    first_.assign(max_gap + 1, 0);
+    const auto parent = [&](std::uint32_t p, std::uint64_t child) {
+      return p == 0 ? s : signal{static_cast<node_index>(first_[p] + child / capacity_), false};
+    };
+    for (std::uint32_t p = 1; p <= max_gap; ++p) {
+      first_[p] = new_net_.num_nodes();
+      for (std::uint64_t i = 0; i < vertices_[p]; ++i) {
+        record_schedule(new_net_.create_buffer(parent(p - 1, i)), levels_[n] + p);
+      }
+    }
+    // taps_at_[p] becomes the child index of the next tap at depth p.
     for (std::uint32_t p = 0; p <= max_gap; ++p) {
-      std::vector<signal> next;
-      std::vector<std::uint64_t> next_used;
-      std::size_t parent = 0;
-      auto take_parent = [&]() -> signal {
-        while (used[parent] >= cap) {
-          ++parent;
-        }
-        ++used[parent];
-        return current[parent];
-      };
-      if (p < max_gap) {
-        next.reserve(vertices[p + 1]);
-        for (std::uint64_t i = 0; i < vertices[p + 1]; ++i) {
-          next.push_back(new_net_.create_buffer(take_parent()));
-          record_schedule(next.back(), levels_[n] + p + 1);
-          next_used.push_back(0);
-        }
-      }
-      for (const auto* e : taps_at[p]) {
-        taps_[edge_key(e->consumer, e->slot)] = take_parent();
-      }
-      current = std::move(next);
-      used = std::move(next_used);
+      taps_at_[p] = vertices_[p + 1];
+    }
+    for (const auto& e : edges) {
+      const std::uint32_t p = gap_of(n, e);
+      taps_[e] = parent(p, taps_at_[p]++);
     }
   }
 
   /// Fan-in signal of the rebuilt consumer: the planned tap with the original
   /// edge complement, or the constant itself.
-  signal tap_for(node_index consumer, std::uint32_t slot, signal original) {
+  signal tap_for(node_index consumer, std::uint32_t slot, signal original) const {
     if (old_.is_constant(original.index())) {
       return original;
     }
-    return taps_.at(edge_key(consumer, slot)).complement_if(original.is_complemented());
+    return taps_.fanin(consumer, slot).complement_if(original.is_complemented());
   }
 
   const mig_network& old_;
   const buffer_insertion_options& options_;
+  const std::uint64_t capacity_;  // children per tree vertex
   level_map levels_;
   fanout_map fanouts_;
+  detail::edge_taps taps_;
   mig_network new_net_;
-  std::unordered_map<std::uint64_t, signal> taps_;
   std::vector<std::uint32_t> schedule_;  // scheduled level per new node
+  // Per-driver scratch of shape_tree/plan_tree, reused across drivers.
+  std::vector<std::uint64_t> taps_at_;
+  std::vector<std::uint64_t> vertices_;
+  std::vector<std::size_t> first_;
 };
 
 }  // namespace

@@ -4,9 +4,10 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
+#include "edge_taps.hpp"
 #include "wavemig/levels.hpp"
 
 namespace wavemig {
@@ -15,17 +16,14 @@ namespace {
 
 constexpr std::int64_t po_deadline = std::numeric_limits<std::int64_t>::max();
 
-std::uint64_t edge_key(node_index consumer, std::uint32_t slot) {
-  return (static_cast<std::uint64_t>(consumer) << 32) | slot;
-}
-
 class restriction_builder {
 public:
   restriction_builder(const mig_network& old_net, const fanout_restriction_options& options)
       : old_{old_net},
         options_{options},
         levels_{compute_levels(old_net)},
-        fanouts_{compute_fanouts(old_net)} {
+        fanouts_{compute_fanouts(old_net)},
+        taps_{old_net} {
     lower_bound_.assign(old_.num_nodes(), 0);
     old_.foreach_node([&](node_index n) { lower_bound_[n] = levels_[n]; });
   }
@@ -64,8 +62,7 @@ public:
       const signal driver = old_.po_signal(position);
       signal s = driver;
       if (!old_.is_constant(driver.index())) {
-        s = taps_.at(edge_key(fanout_map::po_consumer, position))
-                .complement_if(driver.is_complemented());
+        s = taps_.po(position).complement_if(driver.is_complemented());
       }
       new_net_.create_po(s, old_.po_name(position));
     }
@@ -93,15 +90,15 @@ private:
 
   [[nodiscard]] std::uint32_t level_of(signal s) const { return new_levels_[s.index()]; }
 
-  signal tap_for(node_index consumer, std::uint32_t slot, signal original) {
+  signal tap_for(node_index consumer, std::uint32_t slot, signal original) const {
     if (old_.is_constant(original.index())) {
       return original;
     }
-    return taps_.at(edge_key(consumer, slot)).complement_if(original.is_complemented());
+    return taps_.fanin(consumer, slot).complement_if(original.is_complemented());
   }
 
   void plan_driver(node_index n, signal s, fanout_restriction_result& result) {
-    const auto& edges = fanouts_.edges[n];
+    const std::span<const fanout_map::edge> edges = fanouts_.edges[n];
     if (edges.empty()) {
       return;
     }
@@ -187,7 +184,7 @@ private:
   }
 
   void record_tap(const fanout_map::edge& e, signal tap, std::uint32_t arrival) {
-    taps_[edge_key(e.consumer, e.slot)] = tap;
+    taps_[e] = tap;
     if (e.consumer != fanout_map::po_consumer) {
       lower_bound_[e.consumer] = std::max(lower_bound_[e.consumer], arrival);
     }
@@ -197,10 +194,10 @@ private:
   const fanout_restriction_options& options_;
   level_map levels_;
   fanout_map fanouts_;
+  detail::edge_taps taps_;
   mig_network new_net_;
   std::vector<std::uint32_t> new_levels_;
   std::vector<std::uint32_t> lower_bound_;  // growing level estimates, old indices
-  std::unordered_map<std::uint64_t, signal> taps_;
 };
 
 }  // namespace

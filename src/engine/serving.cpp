@@ -48,10 +48,9 @@ void serving_session::enqueue(request req) {
     // recent queue-wait p99 over its threshold), requests at or below the
     // policy's priority floor are rejected before consuming a slot, so the
     // traffic that can still meet its deadlines keeps flowing. The wait p99
-    // counts only while a backlog exists: it is refreshed from dispatched
-    // requests alone, so after a burst it would otherwise stay high forever
-    // on an idle session fed only sheddable traffic — and a request arriving
-    // at an empty queue is picked up at once anyway.
+    // counts only while a backlog exists (a request arriving at an empty
+    // queue is picked up at once), and process_gulp forgets the waits
+    // behind it whenever the dispatcher leaves the queue empty.
     const bool overloaded =
         (shed_policy_.queue_depth != 0 && queue_.size() >= shed_policy_.queue_depth) ||
         (shed_policy_.queue_wait_p99_ms > 0.0 && !queue_.empty() &&
@@ -302,6 +301,15 @@ void serving_session::process_gulp(std::vector<request> gulp) {
         std::sort(sorted.begin(), sorted.end());
         cached_wait_p99_ms_ = sorted[std::min(sorted.size() - 1, sorted.size() * 99 / 100)];
       }
+    }
+    // Waits count only while the backlog that produced them lasts: once
+    // the dispatcher leaves the queue empty, that overload is over, and the
+    // next backlog is judged on its own waits, however slow this one was.
+    if (queue_.empty()) {
+      recent_waits_.clear();
+      recent_at_ = 0;
+      samples_since_p99_ = 0;
+      cached_wait_p99_ms_ = 0.0;
     }
   }
 

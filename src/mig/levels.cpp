@@ -1,6 +1,7 @@
 #include "wavemig/levels.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace wavemig {
 
@@ -42,41 +43,63 @@ std::uint32_t max_exclusive_base_distance(const mig_network& net, const level_ma
   return own == 0 ? 0 : own - 1;
 }
 
-fanout_map compute_fanouts(const mig_network& net) {
-  fanout_map result;
-  result.edges.resize(net.num_nodes());
+namespace {
 
+/// Calls `fn(driver, edge)` for every consumer edge of a non-constant
+/// driver, in the documented fanout_map order: fan-in slots in node order,
+/// then the primary outputs.
+template <typename Fn>
+void foreach_fanout_edge(const mig_network& net, Fn&& fn) {
   net.foreach_node([&](node_index n) {
     const auto fis = net.fanins(n);
     for (std::uint32_t slot = 0; slot < fis.size(); ++slot) {
-      const node_index driver = fis[slot].index();
-      if (!net.is_constant(driver)) {
-        result.edges[driver].push_back({n, slot});
+      if (!net.is_constant(fis[slot].index())) {
+        fn(fis[slot].index(), fanout_map::edge{n, slot});
       }
     }
   });
-
   for (std::uint32_t position = 0; position < net.num_pos(); ++position) {
     const node_index driver = net.po_signal(position).index();
     if (!net.is_constant(driver)) {
-      result.edges[driver].push_back({fanout_map::po_consumer, position});
+      fn(driver, fanout_map::edge{fanout_map::po_consumer, position});
     }
   }
+}
+
+}  // namespace
+
+fanout_map compute_fanouts(const mig_network& net) {
+  fanout_map result;
+  auto& [offset, targets] = result.edges;
+
+  // Count pass: driver d's degree lands in offset[d + 1], so the prefix sum
+  // turns the counts into start offsets.
+  offset.assign(net.num_nodes() + 1, 0);
+  foreach_fanout_edge(net, [&](node_index driver, const fanout_map::edge&) {
+    ++offset[driver + 1];
+  });
+  std::partial_sum(offset.begin(), offset.end(), offset.begin());
+
+  // Fill pass: each driver's edges land in visiting order.
+  targets.resize(offset.back());
+  std::vector<std::size_t> cursor(offset.begin(), offset.end() - 1);
+  foreach_fanout_edge(net, [&](node_index driver, const fanout_map::edge& e) {
+    targets[cursor[driver]++] = e;
+  });
   return result;
 }
 
 std::size_t max_fanout_degree(const mig_network& net) {
-  const auto fanouts = compute_fanouts(net);
-  std::size_t best = 0;
-  net.foreach_node([&](node_index n) {
-    if (!net.is_constant(n)) {
-      best = std::max(best, fanouts.degree(n));
-    }
-  });
-  return best;
+  std::vector<std::uint32_t> degree(net.num_nodes(), 0);  // the constant stays at 0
+  foreach_fanout_edge(net, [&](node_index driver, const fanout_map::edge&) { ++degree[driver]; });
+  return *std::max_element(degree.begin(), degree.end());
 }
 
 network_stats compute_stats(const mig_network& net) {
+  return compute_stats(net, compute_levels(net));
+}
+
+network_stats compute_stats(const mig_network& net, const level_map& levels) {
   network_stats s;
   s.pis = net.num_pis();
   s.pos = net.num_pos();
@@ -84,7 +107,7 @@ network_stats compute_stats(const mig_network& net) {
   s.buffers = net.num_buffers();
   s.fanout_gates = net.num_fanout_gates();
   s.components = net.num_components();
-  s.depth = compute_levels(net).depth;
+  s.depth = levels.depth;
   s.max_fanout = max_fanout_degree(net);
   return s;
 }

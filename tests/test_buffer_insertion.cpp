@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "../src/core/edge_taps.hpp"
 #include "wavemig/gen/arith.hpp"
 #include "wavemig/levels.hpp"
 #include "wavemig/simulation.hpp"
@@ -177,6 +180,26 @@ TEST(buffer_insertion, buffer_count_formula_on_multiplier) {
   EXPECT_TRUE(readiness.ready);
   EXPECT_TRUE(functionally_equivalent(net, result.net));
   EXPECT_GT(result.buffers_added, net.num_majorities());  // multipliers are skewed
+}
+
+// The rebuilding passes' tap table: a tap reads back what its driver
+// planned, and reading one never planned is a logic error, not constant0.
+TEST(edge_taps, returns_planned_taps_and_rejects_unplanned_reads) {
+  mig_network net;
+  const signal a = net.create_pi();
+  const signal b = net.create_pi();
+  const signal c = net.create_pi();
+  const signal m = net.create_maj(a, b, c);
+  net.create_po(m);
+
+  detail::edge_taps taps{net};
+  taps[fanout_map::edge{m.index(), 1}] = !b;
+  taps[fanout_map::edge{fanout_map::po_consumer, 0}] = m;
+  EXPECT_EQ(taps.fanin(m.index(), 1), !b);
+  EXPECT_EQ(taps.po(0), m);
+  EXPECT_THROW((void)taps.fanin(m.index(), 0), std::logic_error);
+  EXPECT_THROW((void)taps.fanin(m.index(), 2), std::logic_error);
+  EXPECT_THROW((void)taps.fanin(a.index(), 0), std::logic_error);
 }
 
 }  // namespace

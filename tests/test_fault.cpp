@@ -322,8 +322,9 @@ TEST_F(fault_suite, shedding_rejects_low_priority_before_it_consumes_anything) {
 // refreshed from dispatched requests only, so a shed request never lowers
 // it: after one slow burst, a session fed only sheddable traffic would stay
 // "overloaded" forever. The criterion therefore counts only while a backlog
-// exists — it still sheds behind a queued request, and stops once the
-// queue is empty.
+// exists, and only the waits of the current backlog: once the dispatcher
+// leaves the queue empty, earlier waits stop counting. A request held
+// after a drain sheds nothing; a fresh slow backlog sheds again.
 TEST_F(fault_suite, wait_p99_shedding_ends_once_the_queue_is_empty) {
   engine::parallel_executor executor{2};
   engine::serving_session serving{executor, {}, {}, 1};
@@ -364,18 +365,39 @@ TEST_F(fault_suite, wait_p99_shedding_ends_once_the_queue_is_empty) {
   EXPECT_EQ(after.get().num_waves, 64u);
   EXPECT_EQ(serving.metrics().requests_shed, 0u);
 
-  // Behind a backlog the slow p99 still sheds: park the dispatcher again
-  // and hold one request in the queue.
+  // The drain ended that overload: park the dispatcher and hold one
+  // request in the queue. The burst's waits no longer count, so the same
+  // low priority is still accepted behind it.
   fault::arm("serving.dispatcher.stall", stall);
   auto wake_again = serving.submit_packed(net, random_planes(net->num_pis(), 64, 3), 64, 3);
   EXPECT_EQ(wake_again.get().num_waves, 64u);
   auto held = serving.submit_packed(net, random_planes(net->num_pis(), 64, 4), 64, 3);
-  EXPECT_THROW((void)serving.submit_packed(net, random_planes(net->num_pis(), 64, 5), 64,
+  std::future<engine::packed_wave_result> behind_held;
+  ASSERT_NO_THROW(behind_held = serving.submit_packed(
+                      net, random_planes(net->num_pis(), 64, 5), 64, 3, low));
+  EXPECT_EQ(serving.metrics().requests_shed, 0u);
+  EXPECT_EQ(held.get().num_waves, 64u);
+  EXPECT_EQ(behind_held.get().num_waves, 64u);
+
+  // A fresh slow backlog sheds again. The dispatcher, still stalling
+  // between gulps, wakes to one full gulp of 64 stalled requests (its most
+  // per queue drain) and leaves the request queued after them waiting, so
+  // the burst's waits are recorded while a backlog remains.
+  std::vector<std::future<engine::packed_wave_result>> fresh_burst;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    fresh_burst.push_back(
+        serving.submit_packed(net, random_planes(net->num_pis(), 64, 100 + i), 64, 3));
+  }
+  auto held_again = serving.submit_packed(net, random_planes(net->num_pis(), 64, 6), 64, 3);
+  for (auto& f : fresh_burst) {
+    EXPECT_EQ(f.get().num_waves, 64u);
+  }
+  EXPECT_THROW((void)serving.submit_packed(net, random_planes(net->num_pis(), 64, 7), 64,
                                            3, low),
                engine::admission_rejected_error);
   EXPECT_EQ(serving.metrics().requests_shed, 1u);
   fault::disarm_all();
-  EXPECT_EQ(held.get().num_waves, 64u);
+  EXPECT_EQ(held_again.get().num_waves, 64u);
   serving.close();
 }
 

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "wavemig/gen/arith.hpp"
+#include "wavemig/gen/random_mig.hpp"
+#include "wavemig/pipeline.hpp"
 
 namespace wavemig {
 namespace {
@@ -135,6 +141,146 @@ TEST(fanouts, max_fanout_degree) {
     net.create_po(m, "o" + std::to_string(i));
   }
   EXPECT_EQ(max_fanout_degree(net), 5u);
+}
+
+/// Fan-out lists built one push_back at a time, in the documented edge
+/// order: fan-in slots in node order, then the primary outputs.
+std::vector<std::vector<fanout_map::edge>> reference_fanouts(const mig_network& net) {
+  std::vector<std::vector<fanout_map::edge>> edges(net.num_nodes());
+  net.foreach_node([&](node_index n) {
+    const auto fis = net.fanins(n);
+    for (std::uint32_t slot = 0; slot < fis.size(); ++slot) {
+      if (!net.is_constant(fis[slot].index())) {
+        edges[fis[slot].index()].push_back({n, slot});
+      }
+    }
+  });
+  for (std::uint32_t position = 0; position < net.num_pos(); ++position) {
+    const node_index driver = net.po_signal(position).index();
+    if (!net.is_constant(driver)) {
+      edges[driver].push_back({fanout_map::po_consumer, position});
+    }
+  }
+  return edges;
+}
+
+/// compute_fanouts equals the reference list for list, edge for edge, and
+/// max_fanout_degree is the largest degree over non-constant nodes.
+void expect_fanouts_match_reference(const mig_network& net, const std::string& what) {
+  const auto fo = compute_fanouts(net);
+  const auto reference = reference_fanouts(net);
+  ASSERT_EQ(fo.edges.offset.size(), net.num_nodes() + 1) << what;
+  std::size_t widest = 0;
+  for (node_index n = 0; n < net.num_nodes(); ++n) {
+    const auto edges = fo.edges[n];
+    ASSERT_EQ(edges.size(), reference[n].size()) << what << ", driver " << n;
+    EXPECT_EQ(fo.degree(n), reference[n].size()) << what << ", driver " << n;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      EXPECT_EQ(edges[i].consumer, reference[n][i].consumer) << what << ", driver " << n;
+      EXPECT_EQ(edges[i].slot, reference[n][i].slot) << what << ", driver " << n;
+    }
+    if (!net.is_constant(n)) {
+      widest = std::max(widest, fo.degree(n));
+    }
+  }
+  EXPECT_EQ(max_fanout_degree(net), widest) << what;
+}
+
+TEST(fanouts, flat_map_and_degree_match_a_reference_on_random_migs) {
+  const std::vector<gen::random_mig_profile> profiles{
+      {8, 60, 0.2, 4, 1}, {16, 400, 0.5, 16, 2}, {32, 1500, 0.9, 40, 3}, {4, 30, 0.0, 12, 4}};
+  for (const auto& profile : profiles) {
+    auto net = gen::random_mig(profile);
+    const std::string what = "random_mig seed " + std::to_string(profile.seed);
+    expect_fanouts_match_reference(net, what);
+    // Extra outputs on internal nodes give drivers both gate and PO edges,
+    // so the map's gate-slots-then-outputs order is observable.
+    for (node_index n = 1; n < net.num_nodes(); n += 3) {
+      net.create_po(signal{n, n % 2 == 0});
+    }
+    expect_fanouts_match_reference(net, what + " with extra outputs");
+    // The flow's output adds buffers and fan-out gates (one fan-in slot).
+    expect_fanouts_match_reference(wave_pipeline(net).net, what + " after the flow");
+  }
+}
+
+TEST(fanouts, hand_cases_match_the_reference) {
+  {
+    // Constant-driven outputs of both polarities, and a constant fan-in:
+    // none of them is an edge.
+    mig_network net;
+    const signal a = net.create_pi();
+    const signal b = net.create_pi();
+    net.create_po(constant0, "zero");
+    net.create_po(net.create_or(a, b));
+    net.create_po(constant1, "one");
+    expect_fanouts_match_reference(net, "constant outputs");
+    EXPECT_TRUE(compute_fanouts(net).edges[0].empty());
+  }
+  {
+    // One driver reaching one consumer more than once. A majority gate
+    // cannot take the same driver in two slots (M(x,x,y) = x and
+    // M(x,!x,y) = y reduce on construction), so the repeats are two PO
+    // positions beside a gate slot.
+    mig_network net;
+    const signal a = net.create_pi();
+    const signal b = net.create_pi();
+    const signal c = net.create_pi();
+    ASSERT_EQ(net.create_maj(a, a, b), a);
+    ASSERT_EQ(net.create_maj(a, !a, b), b);
+    const signal m = net.create_maj(a, b, c);
+    net.create_po(m, "f");
+    net.create_po(net.create_maj(m, !a, c), "g");
+    net.create_po(!m, "nf");
+    expect_fanouts_match_reference(net, "repeated consumer");
+    const auto fo = compute_fanouts(net);
+    const auto edges = fo.edges[m.index()];
+    ASSERT_EQ(edges.size(), 3u);
+    EXPECT_NE(edges[0].consumer, fanout_map::po_consumer);  // gate slots first
+    EXPECT_EQ(edges[1].consumer, fanout_map::po_consumer);
+    EXPECT_EQ(edges[1].slot, 0u);
+    EXPECT_EQ(edges[2].slot, 2u);
+  }
+  {
+    // A driver whose only consumers are primary outputs.
+    mig_network net;
+    const signal a = net.create_pi();
+    const signal b = net.create_pi();
+    net.create_po(a, "a");
+    net.create_po(net.create_and(a, b));
+    net.create_po(!a, "na");
+    expect_fanouts_match_reference(net, "PO-only driver");
+    EXPECT_EQ(compute_fanouts(net).degree(a.index()), 3u);
+  }
+  {
+    // Only PIs: no edges at all, with and without outputs.
+    mig_network net;
+    for (int i = 0; i < 5; ++i) {
+      net.create_pi();
+    }
+    expect_fanouts_match_reference(net, "PIs only");
+    EXPECT_EQ(max_fanout_degree(net), 0u);
+    net.create_po(signal{3, false});
+    expect_fanouts_match_reference(net, "PIs only, one output");
+    EXPECT_EQ(max_fanout_degree(net), 1u);
+  }
+  {
+    // Just the constant node.
+    const mig_network net;
+    expect_fanouts_match_reference(net, "empty network");
+    EXPECT_EQ(max_fanout_degree(net), 0u);
+  }
+}
+
+TEST(stats_struct, two_argument_form_reads_the_given_levels) {
+  const auto net = gen::ripple_adder_circuit(8);
+  const auto levels = compute_levels(net);
+  const auto one = compute_stats(net);
+  const auto two = compute_stats(net, levels);
+  EXPECT_EQ(two.depth, levels.depth);
+  EXPECT_EQ(two.depth, one.depth);
+  EXPECT_EQ(two.components, one.components);
+  EXPECT_EQ(two.max_fanout, one.max_fanout);
 }
 
 TEST(stats_struct, aggregates_counts_and_depth) {
