@@ -5,8 +5,9 @@
 //   seed scalar — the interpreter the repo shipped with: per tick, walk
 //                 every component of the mig_network, chase fan-ins through
 //                 the node table, snapshot a vector<bool> of the full state.
-//   engine scalar — the compiled tick program: per-clock-phase firing
-//                 lists, flat fan-in refs, in-place byte state.
+//   engine scalar — the oracle's tick program, lowered per call:
+//                 per-clock-phase firing lists, flat fan-in refs, in-place
+//                 byte state.
 //   engine packed — run_waves_packed: 64 independent waves per 64-bit word
 //                 streamed through the folded majority-only program.
 //   engine parallel — run_waves_parallel: the packed chunks sharded across
@@ -279,11 +280,15 @@ int main(int argc, char** argv) {
   }
 
   // --- seed scalar baseline -------------------------------------------------
+  // The seed interpreter knows one node per unit buffer: it runs the
+  // unit-buffer form of the balanced netlist, as the seed's flow emitted it.
+  const auto unit_net = expand_buffer_runs(net);
+  const auto unit_levels = compute_levels(unit_net);
   auto start = std::chrono::steady_clock::now();
-  const auto seed_run = seed_scalar_run_waves(net, waves, phases, levels);
+  const auto seed_run = seed_scalar_run_waves(unit_net, waves, phases, unit_levels);
   const double seed_s = seconds_since(start);
 
-  // --- engine scalar (compiled tick program) --------------------------------
+  // --- engine scalar (tick program lowered per call) -------------------------
   start = std::chrono::steady_clock::now();
   const auto scalar_run = run_waves(net, waves, phases);
   const double scalar_s = seconds_since(start);

@@ -21,17 +21,17 @@ constexpr std::uint64_t complement_mask(slot_ref ref) {
 }
 
 /// One-time lowering of a `mig_network` plus a clock schedule into flat
-/// structure-of-arrays form. All per-tick decisions of the interpreters —
-/// kind dispatch, fan-in chasing through `std::array<signal, 3>`,
-/// `vector<bool>` proxies — are resolved at compile time into two programs:
+/// structure-of-arrays form: the **combinational program** (`comb` arrays),
+/// majority gates only, with buffers, buffer runs and fan-out gates folded
+/// away by reference forwarding. It is the engine behind `simulate_words`,
+/// `simulate_truth_tables`, the packed wave path, the streams, the sharded
+/// executors and the serving layer, where identity components contribute
+/// nothing. Beside it the program keeps the clock metadata those paths
+/// need: the scheduled depth, the edge-span bounds of the coherence check
+/// and the level of every primary output.
 ///
-/// * a **combinational program** (`comb` arrays): majority gates only, with
-///   buffers and fan-out gates folded away by reference forwarding. This is
-///   the engine behind `simulate_words`, `simulate_truth_tables` and the
-///   packed wave path, where identity components contribute nothing.
-/// * a **tick program** (`tick` arrays): every physical component with its
-///   scheduled level, preserving the cycle-accurate semantics of
-///   `run_waves` — including wave interference on unbalanced netlists.
+/// A compiled netlist holds no tick program: the cycle-accurate simulator
+/// (`engine::run_waves`) lowers its own from the network and schedule.
 ///
 /// A compiled netlist is immutable and can be shared by any number of
 /// concurrent evaluations; all mutable state lives in caller-provided
@@ -45,17 +45,6 @@ public:
     slot_ref a, b, c;
   };
 
-  enum class tick_kind : std::uint8_t { majority, copy };
-
-  /// Physical component of the tick program. Fan-ins are `slot_ref`s into
-  /// the per-node state array (slot == node index).
-  struct tick_op {
-    std::uint32_t target;
-    slot_ref a, b, c;        ///< copy ops use only `a`
-    std::uint32_t level;     ///< scheduled level (>= 1 for components)
-    tick_kind kind;
-  };
-
   /// Compiles against the network's ASAP levels.
   explicit compiled_netlist(const mig_network& net, compile_options options = {});
 
@@ -65,10 +54,9 @@ public:
   compiled_netlist(const mig_network& net, const level_map& schedule,
                    compile_options options = {});
 
-  /// Compiles only the combinational program — no level computation, no
-  /// tick program, no coherence metadata (wave_coherent is always false).
-  /// The cheap lowering for purely combinational consumers
-  /// (simulate_words & friends).
+  /// Compiles only the combinational program — no level computation and no
+  /// clock metadata (wave_coherent is always false). The cheap lowering for
+  /// purely combinational consumers (simulate_words & friends).
   static compiled_netlist comb_only(const mig_network& net, compile_options options = {});
 
   /// @name Interface shape
@@ -95,8 +83,6 @@ public:
   /// What the optimizer did (all zeros at opt level 0, where `*_before`
   /// still describes the raw lowering).
   [[nodiscard]] const optimizer_stats& opt_stats() const { return opt_stats_; }
-  /// Physical components in the tick program.
-  [[nodiscard]] std::size_t num_tick_ops() const { return tick_ops_.size(); }
   /// Scheduled depth (max level over all primary-output drivers).
   [[nodiscard]] std::uint32_t depth() const { return depth_; }
   /// @}
@@ -104,9 +90,12 @@ public:
   /// @name Coherence metadata
   ///
   /// Span of a data edge = level(consumer) - level(producer), constants
-  /// excluded. Under a P-phase clock every wave stays coherent iff every
-  /// edge span lies in [1, P] (DESIGN.md §2.2); `wave_coherent` is that
-  /// predicate. Packed execution requires it; the tick program does not.
+  /// excluded; an edge into a buffer run of length k ends at its first
+  /// stage, k - 1 levels above the run's level, and the run's inner edges
+  /// span 1 (see level_map). Under a P-phase clock every wave stays
+  /// coherent iff every edge span lies in [1, P] (DESIGN.md §2.2);
+  /// `wave_coherent` is that predicate. Packed execution requires it; the
+  /// cycle-accurate simulator does not.
   /// @{
   [[nodiscard]] std::uint32_t min_edge_span() const { return min_edge_span_; }
   [[nodiscard]] std::uint32_t max_edge_span() const { return max_edge_span_; }
@@ -187,16 +176,9 @@ public:
       const std::vector<std::uint64_t>& pi_words) const;
 
   /// @}
-  /// @name Tick program access (cycle-accurate wave simulation)
+  /// @name Output clock metadata
   /// @{
 
-  [[nodiscard]] const std::vector<tick_op>& tick_ops() const { return tick_ops_; }
-  /// State slots of the tick program (one per network node).
-  [[nodiscard]] std::size_t tick_slot_count() const { return tick_slot_count_; }
-  /// Node slots of the primary inputs, in PI position order.
-  [[nodiscard]] const std::vector<std::uint32_t>& pi_slots() const { return pi_slots_; }
-  /// Per PO: reference into the tick state array.
-  [[nodiscard]] const std::vector<slot_ref>& po_refs() const { return po_refs_; }
   /// Per PO: scheduled level of the driver (0 for PIs and constants).
   [[nodiscard]] const std::vector<std::uint32_t>& po_levels() const { return po_levels_; }
   /// Per PO: true when driven by the constant node.
@@ -213,8 +195,8 @@ public:
 private:
   compiled_netlist() = default;
 
-  /// Lowers the network; a null schedule skips the tick program and
-  /// coherence metadata (comb_only mode).
+  /// Lowers the network; a null schedule skips the clock metadata
+  /// (comb_only mode).
   void lower(const mig_network& net, const level_map* schedule);
 
   /// Runs the post-lowering optimizer over the combinational program
@@ -236,11 +218,7 @@ private:
   std::vector<maj_op> comb_ops_;
   std::vector<slot_ref> comb_po_refs_;
 
-  // Tick program: slot == node index.
-  std::uint32_t tick_slot_count_{0};
-  std::vector<tick_op> tick_ops_;
-  std::vector<std::uint32_t> pi_slots_;
-  std::vector<slot_ref> po_refs_;
+  // Output clock metadata.
   std::vector<std::uint32_t> po_levels_;
   std::vector<bool> po_constant_;
 };

@@ -8,7 +8,8 @@ namespace wavemig::engine {
 /// Knobs of the compiled-program optimizer that runs after lowering (see
 /// compiled_netlist). Every level produces a program that is bit-identical
 /// in its primary outputs — the optimizer only touches the combinational
-/// program, never the cycle-accurate tick program — so the level is a pure
+/// program; the cycle-accurate oracle lowers its own tick program from the
+/// network — so the level is a pure
 /// compile-time / memory / throughput trade-off:
 ///
 /// * `0` — raw lowering, exactly the ops the network dictates (one majority

@@ -178,7 +178,8 @@ packed_wave_result run_waves_parallel(const compiled_netlist& net, const wave_ba
                                       unsigned phases, parallel_executor& executor);
 
 /// Order-sensitive structural fingerprint of a network: FNV-1a over node
-/// kinds, fan-in references, PI positions, and output drivers. Networks
+/// kinds, buffer run lengths, fan-in references, PI positions, and output
+/// drivers. Networks
 /// that compile to different programs fingerprint differently (modulo
 /// 64-bit collisions); names are deliberately excluded — they do not affect
 /// execution.

@@ -18,6 +18,12 @@ namespace wavemig {
 /// optimization of Testa et al. [20] as used by the paper's INV component
 /// counts: the logical MIG stays canonical while the physical inverter count
 /// is minimized.
+///
+/// A buffer run of length k >= 2 is flipped as its last stage: its other
+/// stages never flip (in the unit chain a greedy flip of a middle stage
+/// never pays, since both its edges start without an inverter), so the
+/// edge into the run carries `compl ^ flip[d]`, and the inner edge into the
+/// last stage carries an inverter iff `flip[run]`.
 struct polarity_assignment {
   std::vector<bool> flip;
   std::size_t inverter_count{0};

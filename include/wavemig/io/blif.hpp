@@ -17,7 +17,8 @@ mig_network read_blif_file(const std::string& path);
 
 /// Writes BLIF. Majority gates become three-cube `.names`, buffers and
 /// fan-out gates single-cube identity `.names`, and complemented edges
-/// materialize one shared inverter `.names` per driver.
+/// materialize one shared inverter `.names` per driver. A buffer run is
+/// written as its chain of unit buffers (expand_buffer_runs).
 void write_blif(const mig_network& net, std::ostream& os, const std::string& model_name = "mig");
 void write_blif_file(const mig_network& net, const std::string& path,
                      const std::string& model_name = "mig");

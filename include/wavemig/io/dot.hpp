@@ -8,8 +8,9 @@
 namespace wavemig::io {
 
 /// Writes a Graphviz dot rendering: majority gates as ellipses, buffers as
-/// boxes, fan-out gates as triangles, complemented edges dashed, nodes
-/// ranked by level (so wave fronts line up visually).
+/// boxes (one per stage of a buffer run), fan-out gates as triangles,
+/// complemented edges dashed, nodes ranked by level (so wave fronts line
+/// up visually).
 void write_dot(const mig_network& net, std::ostream& os);
 void write_dot_file(const mig_network& net, const std::string& path);
 

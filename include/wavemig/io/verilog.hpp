@@ -10,7 +10,8 @@ namespace wavemig::io {
 /// Writes structural Verilog: one `assign` per component, with majority
 /// expanded to (a&b)|(a&c)|(b&c) and edge complements inlined as `~`.
 /// Buffers and fan-out gates become identity assigns, preserving the
-/// physical netlist structure for downstream tools.
+/// physical netlist structure for downstream tools; a buffer run becomes
+/// one assign per stage (expand_buffer_runs).
 void write_verilog(const mig_network& net, std::ostream& os,
                    const std::string& module_name = "mig");
 void write_verilog_file(const mig_network& net, const std::string& path,

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "wavemig/mig.hpp"
@@ -10,10 +12,15 @@
 namespace wavemig {
 
 /// Longest-path levels of a network (the paper's base-distance maxima):
-/// PIs sit at level 0 and every component (majority gate, buffer, fan-out
-/// gate) contributes one level. Constant fan-ins carry no data wave and are
-/// ignored (§2.1 of DESIGN.md); a component whose non-constant fan-ins are
-/// all PIs sits at level 1.
+/// PIs sit at level 0, majority and fan-out gates contribute one level and a
+/// buffer run of length k contributes k (its last stage's level is the
+/// node's level). Constant fan-ins carry no data wave and are ignored (§2.1
+/// of DESIGN.md); a gate whose non-constant fan-ins are all PIs sits at
+/// level 1.
+///
+/// The same map type carries clock schedules. A run scheduled at L has its
+/// stages at L - k + 1 ... L: the edge into it spans
+/// `L - (k - 1) - level(fan-in)` and its internal edges span 1.
 struct level_map {
   std::vector<std::uint32_t> level;  ///< per node index
   std::uint32_t depth{0};            ///< max level over all PO drivers
@@ -22,13 +29,66 @@ struct level_map {
 };
 
 /// Computes levels in one forward pass (node index order is topological).
+/// Throws std::overflow_error if a level exceeds the 32-bit range.
 level_map compute_levels(const mig_network& net);
 
-/// Maximum exclusive base distance of a node: one level below the node's own
-/// level, i.e. the depth of its deepest non-constant fan-in. Defined for
+/// ASAP level of node `n` from the levels of its fan-ins (`level[f]` for
+/// every fan-in f; `level[0]`, the constant's, must be 0): the deepest
+/// fan-in plus the node's length, or the length alone when no fan-in
+/// carries a wave; 0 for PIs and the constant. The rule compute_levels
+/// applies node by node, for passes that level the network they are
+/// building. Throws std::overflow_error if the level exceeds the 32-bit
+/// range.
+template <typename Levels>
+std::uint32_t node_level(const mig_network& net, node_index n, const Levels& level) {
+  // The constant sits at level 0, so a constant fan-in never raises the
+  // deepest level and needs no test of its own.
+  const auto fis = net.fanins(n);
+  std::uint32_t deepest;
+  std::uint32_t length = 1;
+  switch (net.kind(n)) {
+    case node_kind::majority:
+      deepest = std::max<std::uint32_t>(
+          {level[fis[0].index()], level[fis[1].index()], level[fis[2].index()]});
+      break;
+    case node_kind::buffer:
+      length = net.buffer_length(n);
+      [[fallthrough]];
+    case node_kind::fanout:
+      deepest = level[fis[0].index()];
+      break;
+    default:
+      return 0;
+  }
+  if (deepest > std::numeric_limits<std::uint32_t>::max() - length) {
+    throw std::overflow_error{"levels: a level exceeds the 32-bit range"};
+  }
+  return deepest + length;
+}
+
+/// Maximum exclusive base distance of a node: the level of its first stage
+/// minus one, i.e. the depth of its deepest non-constant fan-in (one level
+/// below a gate's own level, k below a length-k buffer run's). Defined for
 /// components; returns 0 for PIs/constants.
 std::uint32_t max_exclusive_base_distance(const mig_network& net, const level_map& levels,
                                           node_index n);
+
+/// Whether any buffer node of `net` is a run longer than one stage.
+[[nodiscard]] inline bool has_buffer_runs(const mig_network& net) {
+  return net.num_buffer_nodes() != net.num_buffers();
+}
+
+/// The unit-buffer form of `net`: every buffer run of length k becomes k
+/// chained unit buffers in its place, every other node and output is copied
+/// in order. The result is the netlist the runs stand for, node for node:
+/// what the wave-pipelining passes emitted before runs existed.
+mig_network expand_buffer_runs(const mig_network& net);
+
+/// `schedule` of `net` carried over to `expand_buffer_runs(net)`: stage j
+/// (1-based) of a run scheduled at L sits at L - k + j; every other node
+/// keeps its level. Throws std::invalid_argument if the schedule does not
+/// match the network.
+level_map expand_schedule(const mig_network& net, const level_map& schedule);
 
 /// Fan-out structure of a network. For each driver node, lists every
 /// consumer fan-in slot and every primary output it feeds. A slot is a
@@ -78,7 +138,8 @@ struct fanout_map {
 fanout_map compute_fanouts(const mig_network& net);
 
 /// Maximum fan-out degree over all non-constant nodes. Counts degrees only;
-/// builds no fan-out map.
+/// builds no fan-out map. The inner stages of a buffer run drive one stage
+/// each, so a network holding a run of length >= 2 has degree at least 1.
 std::size_t max_fanout_degree(const mig_network& net);
 
 /// Basic structural statistics used throughout benches and reports.

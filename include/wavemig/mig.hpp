@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "wavemig/signal.hpp"
@@ -36,13 +35,20 @@ enum class node_kind : std::uint8_t {
 /// reductions M(x,x,y) = x and M(x,!x,y) = y are applied on construction.
 /// Buffers and fan-out gates are *not* hashed: they are distinct physical
 /// components even when fed by the same signal.
+///
+/// A buffer node is a *run*: k >= 1 unit buffers in series, each one level
+/// after the previous, stored as one node whose `aux` holds k. Component
+/// counts sum the lengths (a run of k is k buffers), so every count, level
+/// and paper figure is that of the unit-buffer chain the run stands for
+/// (expand_buffer_runs in levels.hpp rebuilds that chain).
 class mig_network {
 public:
   struct node {
     node_kind kind{node_kind::constant};
     /// Fan-in signals; used slots: majority = 3, buffer/fanout = 1, else 0.
     std::array<signal, 3> fanin{};
-    /// Kind-specific payload: PI position for primary inputs.
+    /// Kind-specific payload: PI position for primary inputs, run length
+    /// (>= 1) for buffers, 0 otherwise.
     std::uint32_t aux{0};
   };
 
@@ -81,8 +87,9 @@ public:
   /// carry = M(a,b,c), sum = M(!carry, M(a,b,!c), c).
   std::pair<signal, signal> create_full_adder(signal a, signal b, signal c);
 
-  /// Adds a balancing buffer (never hashed).
-  signal create_buffer(signal in);
+  /// Adds a run of `length` balancing buffers in series as one node (never
+  /// hashed). Throws std::invalid_argument for a length of 0.
+  signal create_buffer(signal in, std::uint32_t length = 1);
 
   /// Adds a fan-out gate / FOG (never hashed).
   signal create_fanout(signal in);
@@ -92,10 +99,11 @@ public:
   std::uint32_t create_po(signal driver, std::string name = {});
 
   /// Reserves node storage for `num_nodes` nodes in total (the constant and
-  /// the PIs included), so a pass that knows how large its output network
-  /// grows appends without ever regrowing and copying the node array. Adds
-  /// no node and changes no query's result.
-  void reserve(std::size_t num_nodes) { nodes_.reserve(num_nodes); }
+  /// the PIs included) and structural-hash room for `num_majorities`
+  /// majority gates, so a pass that knows how large its output network
+  /// grows appends without ever regrowing and copying the node array or
+  /// rehashing. Adds no node and changes no query's result.
+  void reserve(std::size_t num_nodes, std::size_t num_majorities = 0);
 
   /// @}
   /// @name Structure queries
@@ -105,11 +113,15 @@ public:
   [[nodiscard]] std::size_t num_pis() const { return pis_.size(); }
   [[nodiscard]] std::size_t num_pos() const { return pos_.size(); }
   [[nodiscard]] std::size_t num_majorities() const { return num_majorities_; }
+  /// Unit buffers: the sum of the buffer run lengths.
   [[nodiscard]] std::size_t num_buffers() const { return num_buffers_; }
+  /// Buffer nodes (runs); equals num_buffers() when every run has length 1.
+  [[nodiscard]] std::size_t num_buffer_nodes() const { return num_buffer_nodes_; }
   [[nodiscard]] std::size_t num_fanout_gates() const { return num_fanouts_; }
 
   /// Majority + buffer + fanout count: the component count used in the
-  /// paper's netlist-size metrics (PIs and constants are not components).
+  /// paper's netlist-size metrics (PIs and constants are not components;
+  /// a buffer run counts its length).
   [[nodiscard]] std::size_t num_components() const {
     return num_majorities_ + num_buffers_ + num_fanouts_;
   }
@@ -122,7 +134,18 @@ public:
   [[nodiscard]] bool is_fanout_gate(node_index n) const { return nodes_[n].kind == node_kind::fanout; }
 
   /// Fan-in signals of a node (empty span for constants and PIs).
-  [[nodiscard]] std::span<const signal> fanins(node_index n) const;
+  [[nodiscard]] std::span<const signal> fanins(node_index n) const {
+    const auto& nd = nodes_[n];
+    switch (nd.kind) {
+      case node_kind::majority:
+        return {nd.fanin.data(), 3};
+      case node_kind::buffer:
+      case node_kind::fanout:
+        return {nd.fanin.data(), 1};
+      default:
+        return {};
+    }
+  }
 
   /// All PI node indices in creation order.
   [[nodiscard]] const std::vector<node_index>& pis() const { return pis_; }
@@ -134,6 +157,13 @@ public:
   [[nodiscard]] const std::string& pi_name(std::size_t position) const { return pi_names_[position]; }
   /// PI position of a primary-input node.
   [[nodiscard]] std::size_t pi_position(node_index n) const { return nodes_[n].aux; }
+  /// Run length of a buffer node.
+  [[nodiscard]] std::uint32_t buffer_length(node_index n) const { return nodes_[n].aux; }
+  /// Levels a component spans: its run length for a buffer, 1 for a
+  /// majority gate or fan-out gate.
+  [[nodiscard]] std::uint32_t length(node_index n) const {
+    return nodes_[n].kind == node_kind::buffer ? nodes_[n].aux : 1;
+  }
 
   /// @}
   /// @name Iteration (index order == topological order)
@@ -169,22 +199,26 @@ public:
 
 private:
   signal lookup_or_create_maj(signal a, signal b, signal c, bool output_complemented);
-
-  struct maj_key {
-    std::array<std::uint32_t, 3> raw;
-    friend bool operator==(const maj_key&, const maj_key&) = default;
-  };
-  struct maj_key_hash {
-    std::size_t operator()(const maj_key& k) const noexcept;
-  };
+  /// First strash slot of a sorted fan-in triple.
+  [[nodiscard]] std::size_t strash_slot(const std::array<signal, 3>& fanin) const;
+  /// Resizes the strash table to `slots` (a power of two) and re-inserts
+  /// every majority node.
+  void rehash(std::size_t slots);
 
   std::vector<node> nodes_;
   std::vector<node_index> pis_;
   std::vector<std::string> pi_names_;
   std::vector<output> pos_;
-  std::unordered_map<maj_key, node_index, maj_key_hash> strash_;
+  /// Structural hash of the majority nodes: open addressing with linear
+  /// probing over a power-of-two table of node indices. Slot value 0 (the
+  /// constant node, never a majority) marks an empty slot, a slot's key is
+  /// the fan-in triple of the node it names, and the load factor stays at
+  /// or below 1/2. Plain arrays on both sides, so copying a network is a
+  /// copy of its vectors.
+  std::vector<node_index> strash_;
   std::size_t num_majorities_{0};
   std::size_t num_buffers_{0};
+  std::size_t num_buffer_nodes_{0};
   std::size_t num_fanouts_{0};
 };
 

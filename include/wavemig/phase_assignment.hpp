@@ -16,7 +16,8 @@ namespace wavemig {
 /// is presented).
 struct phase_assignment {
   unsigned phases{3};
-  /// Phase per node; PIs and constants are 0.
+  /// Phase per node; PIs and constants are 0. A buffer run's entry is the
+  /// phase of its last stage; `load` counts each of its stages.
   std::vector<std::uint8_t> phase;
   /// Number of clocked components per phase — the per-phase clock load that
   /// a clocking network must drive (the overhead the paper's §V explicitly

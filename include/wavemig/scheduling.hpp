@@ -31,11 +31,12 @@ enum class schedule_policy {
 level_map compute_schedule(const mig_network& net, schedule_policy policy);
 
 /// True when `levels` is a feasible wave schedule: every non-constant edge
-/// (u,v) satisfies level(v) >= level(u) + 1, PIs sit at level 0, and no node
-/// exceeds the recorded depth.
+/// (u,v) satisfies level(v) >= level(u) + length(v) (1, or k for a buffer
+/// run, whose inner edges span one level each), PIs sit at level 0, and no
+/// node exceeds the recorded depth.
 bool is_valid_schedule(const mig_network& net, const level_map& levels);
 
-/// Total positive slack Σ_edges (level(v) - level(u) - 1): the number of
+/// Total positive slack Σ_edges (level(v) - level(u) - length(v)): the number of
 /// buffers a *naive* (unshared) balancing pass would insert, and a useful
 /// imbalance measure for wave-aware optimization.
 std::uint64_t slack_sum(const mig_network& net, const level_map& levels);

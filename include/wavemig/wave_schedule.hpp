@@ -16,7 +16,8 @@ namespace wavemig {
 struct wave_readiness {
   bool ready{false};
   /// Edges (u -> v) with level(v) != level(u) + 1 ("residual paths that jump
-  /// through graph levels").
+  /// through graph levels"). An edge into a buffer run ends at the run's
+  /// first stage (see level_map); a run's inner edges always span 1.
   std::size_t violating_edges{0};
   /// True when all non-constant PO drivers share one level.
   bool outputs_aligned{false};

@@ -32,11 +32,14 @@ public:
     result.depth_before = levels_.depth;
 
     // Every old node is rebuilt (structural hashing can only merge some),
-    // plus exactly the buffers plan_driver hangs off the drivers.
+    // plus exactly the buffer nodes plan_driver hangs off the drivers.
     std::uint64_t planned = 0;
-    old_.foreach_node([&](node_index n) { planned += planned_buffers(n); });
-    new_net_.reserve(old_.num_nodes() + planned);
+    old_.foreach_node([&](node_index n) { planned += planned_nodes(n); });
+    new_net_.reserve(old_.num_nodes() + planned, old_.num_majorities());
     schedule_.reserve(old_.num_nodes() + planned);
+    asap_.reserve(old_.num_nodes() + planned);
+    schedule_.push_back(0);  // the constant node
+    asap_.push_back(0);
 
     std::vector<signal> map(old_.num_nodes(), constant0);
     old_.foreach_node([&](node_index n) {
@@ -53,16 +56,17 @@ public:
           break;
         }
         case node_kind::buffer:
-          map[n] = new_net_.create_buffer(tap_for(n, 0, old_.fanins(n)[0]));
+          map[n] = new_net_.create_buffer(tap_for(n, 0, old_.fanins(n)[0]), old_.buffer_length(n));
           break;
         case node_kind::fanout:
           map[n] = new_net_.create_fanout(tap_for(n, 0, old_.fanins(n)[0]));
           break;
       }
-      record_schedule(map[n], levels_[n]);
+      record(map[n], levels_[n]);
       plan_driver(n, map[n]);
     });
 
+    result.depth_after = 0;
     for (std::uint32_t position = 0; position < old_.num_pos(); ++position) {
       const signal driver = old_.po_signal(position);
       signal s;
@@ -70,14 +74,12 @@ public:
         s = driver;  // constant outputs carry no wave; no padding needed
       } else {
         s = taps_.po(position).complement_if(driver.is_complemented());
+        result.depth_after = std::max(result.depth_after, asap_[s.index()]);
       }
       new_net_.create_po(s, old_.po_name(position));
     }
 
     result.buffers_added = new_net_.num_buffers() - old_.num_buffers();
-    result.depth_after = compute_levels(new_net_).depth;
-
-    schedule_.resize(new_net_.num_nodes(), 0);
     result.schedule.level = std::move(schedule_);
     result.schedule.depth = 0;
     for (const auto& po : new_net_.pos()) {
@@ -91,6 +93,16 @@ public:
   }
 
 private:
+  /// A span of consecutive depths of one driver's buffer tree: `count`
+  /// vertices at each depth of [lo, hi]. Spans of several depths hold one
+  /// vertex each, with no tap above hi, and become one buffer run.
+  struct tier {
+    std::uint32_t lo;
+    std::uint32_t hi;
+    std::uint64_t count;
+    std::size_t first{0};  ///< node index of vertex 0, once created
+  };
+
   /// Required number of buffers on one consumer edge of driver `n`:
   /// the scheduled gap, reduced by the coherence tolerance (cells hold their
   /// value long enough to bridge `tolerance` extra levels).
@@ -99,113 +111,152 @@ private:
     if (e.consumer == fanout_map::po_consumer) {
       gap = options_.pad_outputs ? levels_.depth - levels_[n] : 0;
     } else {
-      gap = levels_[e.consumer] - levels_[n] - 1;
+      gap = levels_[e.consumer] - (old_.length(e.consumer) - 1) - levels_[n] - 1;
     }
     return gap > options_.tolerance ? gap - options_.tolerance : 0;
   }
 
-  /// Records the scheduled level of a rebuilt node (idempotent: structural
-  /// hashing may map several requests onto one node; the first wins).
-  void record_schedule(signal s, std::uint32_t level) {
-    if (schedule_.size() <= s.index()) {
-      schedule_.resize(s.index() + 1, 0);
-      schedule_[s.index()] = level;
+  /// Records the scheduled level and the ASAP level of a rebuilt node
+  /// (idempotent: structural hashing may map several requests onto one
+  /// node; the first wins). Every node is recorded right after it is
+  /// created, so a new node's index is the size of the tables.
+  void record(signal s, std::uint32_t level) {
+    if (s.index() == schedule_.size()) {
+      schedule_.push_back(level);
+      asap_.push_back(node_level(new_net_, s.index(), asap_));
     }
   }
 
-  /// Number of buffers plan_driver hangs off driver `n`.
-  std::uint64_t planned_buffers(node_index n) {
+  /// Whether driver `n` gets one private run per edge: always under the
+  /// naive strategy, and wherever one edge makes the shared tree a chain.
+  bool private_runs(edge_span edges) const {
+    return options_.strategy == buffer_strategy::naive || edges.size() == 1;
+  }
+
+  /// Number of buffer nodes plan_driver hangs off driver `n`.
+  std::uint64_t planned_nodes(node_index n) {
     const edge_span edges = fanouts_.edges[n];
-    std::uint64_t buffers = 0;
-    if (options_.strategy == buffer_strategy::naive) {
-      for (const auto& e : edges) {
-        buffers += gap_of(n, e);
-      }
-      return buffers;
+    if (private_runs(edges)) {
+      return static_cast<std::uint64_t>(std::count_if(
+          edges.begin(), edges.end(), [&](const auto& e) { return gap_of(n, e) != 0; }));
     }
-    const std::uint32_t max_gap = shape_tree(n, edges);
-    for (std::uint32_t p = 1; p <= max_gap; ++p) {
-      buffers += vertices_[p];
+    std::uint64_t nodes = 0;
+    for (const tier& t : shape_tree(n, edges)) {
+      nodes += t.count;
     }
-    return buffers;
+    return nodes;
   }
 
   /// Plans the buffer structure hanging off driver `n` (whose rebuilt signal
   /// is `s`) and records the tap signal of every consumer edge.
   void plan_driver(node_index n, signal s) {
     const edge_span edges = fanouts_.edges[n];
-    if (edges.empty()) {
-      return;
-    }
-    if (options_.strategy != buffer_strategy::naive) {
+    if (!private_runs(edges)) {
       plan_tree(n, s, edges);
       return;
     }
     for (const auto& e : edges) {
+      const std::uint32_t gap = gap_of(n, e);
       signal tap = s;
-      for (std::uint32_t i = 0; i < gap_of(n, e); ++i) {
-        tap = new_net_.create_buffer(tap);
-        record_schedule(tap, levels_[n] + i + 1);
+      if (gap != 0) {
+        tap = new_net_.create_buffer(s, gap);
+        record(tap, levels_[n] + gap);
       }
       taps_[e] = tap;
     }
   }
 
-  /// Sizes the buffer tree of driver `n` and returns its depth (the largest
-  /// gap): taps_at_[p] consumer edges attach after p buffers, and
-  /// vertices_[p] buffers sit at depth p, 1 <= p <= depth.
-  std::uint32_t shape_tree(node_index n, edge_span edges) {
-    std::uint32_t max_gap = 0;
-    for (const auto& e : edges) {
-      max_gap = std::max(max_gap, gap_of(n, e));
-    }
-    taps_at_.assign(max_gap + 1, 0);
-    for (const auto& e : edges) {
-      ++taps_at_[gap_of(n, e)];
-    }
-    // Bottom-up vertex counts: vertices at depth p drive the taps at p plus
-    // the carrier buffers at p+1.
-    vertices_.assign(max_gap + 2, 0);
-    for (std::uint32_t p = max_gap; p >= 1; --p) {
-      const std::uint64_t demand = taps_at_[p] + vertices_[p + 1];
-      // Overflow-safe ceiling division (the capacity may be unlimited).
-      vertices_[p] = demand == 0 ? 0 : 1 + (demand - 1) / capacity_;
-    }
-    return max_gap;
-  }
+  /// The gap of an `order_` entry.
+  static std::uint32_t gap_in(std::uint64_t entry) { return static_cast<std::uint32_t>(entry >> 32); }
 
-  /// Buffer tree of driver `n`, every vertex driving at most capacity_
-  /// children. With unlimited capacity it is the paper's Algorithm 1: one
-  /// shared chain that each fan-out taps at its required depth.
-  void plan_tree(node_index n, signal s, edge_span edges) {
-    const std::uint32_t max_gap = shape_tree(n, edges);
-    if (taps_at_[0] + vertices_[1] > capacity_) {
+  /// Shapes the buffer tree of driver `n` in time linear in its edges (plus
+  /// sorting them by gap): `order_` lists the edges by (gap, edge order),
+  /// and the returned tiers cover depths 1 .. largest gap top-down. The
+  /// vertices at a depth drive the taps at that depth plus the vertices of
+  /// the depth below, at most capacity_ each; between two tap depths the
+  /// vertex count shrinks to one within a few depths, and from there a
+  /// single unbranched run reaches the next tap depth.
+  const std::vector<tier>& shape_tree(node_index n, edge_span edges) {
+    order_.clear();
+    for (std::uint32_t i = 0; i < edges.size(); ++i) {
+      order_.push_back(std::uint64_t{gap_of(n, edges[i])} << 32 | i);
+    }
+    std::sort(order_.begin(), order_.end());
+    const auto gap = [&](std::size_t k) { return gap_in(order_[k]); };
+
+    // Bottom-up: `k` edges have gaps above the depth p being shaped, and
+    // `carriers` vertices sit at depth p + 1.
+    tiers_.clear();
+    std::size_t k = order_.size();
+    std::uint64_t carriers = 0;
+    std::uint32_t p = order_.empty() ? 0 : gap(k - 1);
+    while (p >= 1) {
+      std::uint64_t taps = 0;
+      for (; k > 0 && gap(k - 1) == p; --k) {
+        ++taps;
+      }
+      const std::uint32_t next_tap = k > 0 ? gap(k - 1) : 0;
+      if (taps == 0 && carriers == 1) {
+        // One vertex here driving the single vertex below: the run below
+        // reaches up to just under the next tap depth.
+        tiers_.back().lo = next_tap + 1;
+        p = next_tap;
+        continue;
+      }
+      // Overflow-safe ceiling division (the capacity may be unlimited).
+      carriers = 1 + (taps + carriers - 1) / capacity_;
+      tiers_.push_back({p, p, carriers});
+      --p;
+    }
+    if (k + carriers > capacity_) {
       throw std::invalid_argument{
           "insert_buffers: driver fan-out exceeds the buffer-tree capacity; "
           "run fanout restriction first"};
     }
+    std::reverse(tiers_.begin(), tiers_.end());
+    return tiers_;
+  }
+
+  /// Buffer tree of driver `n`, every vertex driving at most capacity_
+  /// children. With unlimited capacity it is the paper's Algorithm 1: one
+  /// shared chain that each fan-out taps at its required depth, stored as
+  /// one run per stretch between tap depths.
+  void plan_tree(node_index n, signal s, edge_span edges) {
+    shape_tree(n, edges);
 
     // Children fill the vertices of the depth above them in order,
     // capacity_ to a vertex: first the carrier buffers of the next depth,
-    // then the taps in edge order. The buffers of one depth are created
-    // together, so first_[p] + i names vertex i of depth p.
-    first_.assign(max_gap + 1, 0);
-    const auto parent = [&](std::uint32_t p, std::uint64_t child) {
-      return p == 0 ? s : signal{static_cast<node_index>(first_[p] + child / capacity_), false};
+    // then the taps in edge order. The vertices of a tier are created
+    // together, so first + i names vertex i of the tier's last depth.
+    const auto parent = [&](std::size_t t, std::uint64_t child) {
+      return signal{static_cast<node_index>(tiers_[t].first + child / capacity_), false};
     };
-    for (std::uint32_t p = 1; p <= max_gap; ++p) {
-      first_[p] = new_net_.num_nodes();
-      for (std::uint64_t i = 0; i < vertices_[p]; ++i) {
-        record_schedule(new_net_.create_buffer(parent(p - 1, i)), levels_[n] + p);
+    for (std::size_t t = 0; t < tiers_.size(); ++t) {
+      tiers_[t].first = new_net_.num_nodes();
+      const std::uint32_t length = tiers_[t].hi - tiers_[t].lo + 1;
+      for (std::uint64_t i = 0; i < tiers_[t].count; ++i) {
+        record(new_net_.create_buffer(t == 0 ? s : parent(t - 1, i), length),
+               levels_[n] + tiers_[t].hi);
       }
     }
-    // taps_at_[p] becomes the child index of the next tap at depth p.
-    for (std::uint32_t p = 0; p <= max_gap; ++p) {
-      taps_at_[p] = vertices_[p + 1];
-    }
-    for (const auto& e : edges) {
-      const std::uint32_t p = gap_of(n, e);
-      taps_[e] = parent(p, taps_at_[p]++);
+    // Taps in (gap, edge) order; the taps of a tier's last depth follow the
+    // carriers of the tier below among its vertices' children.
+    std::size_t t = 0;
+    std::uint64_t child = 0;
+    for (std::size_t k = 0; k < order_.size(); ++k) {
+      const std::uint32_t p = gap_in(order_[k]);
+      const fanout_map::edge& e = edges[static_cast<std::uint32_t>(order_[k])];
+      if (p == 0) {
+        taps_[e] = s;
+        continue;
+      }
+      if (k == 0 || p != gap_in(order_[k - 1])) {
+        while (tiers_[t].hi != p) {
+          ++t;
+        }
+        child = t + 1 < tiers_.size() ? tiers_[t + 1].count : 0;
+      }
+      taps_[e] = parent(t, child++);
     }
   }
 
@@ -226,10 +277,10 @@ private:
   detail::edge_taps taps_;
   mig_network new_net_;
   std::vector<std::uint32_t> schedule_;  // scheduled level per new node
+  std::vector<std::uint32_t> asap_;      // ASAP level per new node
   // Per-driver scratch of shape_tree/plan_tree, reused across drivers.
-  std::vector<std::uint64_t> taps_at_;
-  std::vector<std::uint64_t> vertices_;
-  std::vector<std::size_t> first_;
+  std::vector<std::uint64_t> order_;  // gap << 32 | edge position
+  std::vector<tier> tiers_;
 };
 
 }  // namespace

@@ -31,6 +31,7 @@ public:
   fanout_restriction_result run() {
     fanout_restriction_result result;
     result.depth_before = levels_.depth;
+    new_net_.reserve(old_.num_nodes(), old_.num_majorities());
 
     std::vector<signal> map(old_.num_nodes(), constant0);
     old_.foreach_node([&](node_index n) {
@@ -47,7 +48,7 @@ public:
           break;
         }
         case node_kind::buffer:
-          map[n] = new_net_.create_buffer(tap_for(n, 0, old_.fanins(n)[0]));
+          map[n] = new_net_.create_buffer(tap_for(n, 0, old_.fanins(n)[0]), old_.buffer_length(n));
           break;
         case node_kind::fanout:
           map[n] = new_net_.create_fanout(tap_for(n, 0, old_.fanins(n)[0]));
@@ -78,13 +79,7 @@ private:
   void sync_levels() {
     while (new_levels_.size() < new_net_.num_nodes()) {
       const auto n = static_cast<node_index>(new_levels_.size());
-      std::uint32_t lvl = 0;
-      for (const signal f : new_net_.fanins(n)) {
-        if (!new_net_.is_constant(f.index())) {
-          lvl = std::max(lvl, new_levels_[f.index()] + 1);
-        }
-      }
-      new_levels_.push_back(lvl);
+      new_levels_.push_back(node_level(new_net_, n, new_levels_));
     }
   }
 

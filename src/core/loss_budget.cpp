@@ -52,6 +52,7 @@ loss_budget_result enforce_loss_budget(const mig_network& old,
   }
 
   mig_network net;
+  net.reserve(old.num_nodes(), old.num_majorities());
   std::vector<signal> map(old.num_nodes(), constant0);
   std::vector<std::uint32_t> run;  // per *new* node index
 
@@ -112,7 +113,7 @@ loss_budget_result enforce_loss_budget(const mig_network& old,
       }
       case node_kind::buffer: {
         const std::size_t watermark = net.num_nodes();
-        map[n] = net.create_buffer(mapped(old.fanins(n)[0]));
+        map[n] = net.create_buffer(mapped(old.fanins(n)[0]), old.buffer_length(n));
         note(map[n], 0, watermark);
         return;
       }

@@ -30,11 +30,17 @@ phase_assignment assign_phases(const mig_network& net, const level_map& schedule
   result.phase.assign(net.num_nodes(), 0);
   result.load.assign(phases, 0);
 
+  const auto phase_of = [&](std::uint32_t lvl) {
+    return static_cast<std::uint8_t>(lvl == 0 ? 0 : (lvl - 1) % phases);
+  };
   net.foreach_component([&](node_index n) {
     const std::uint32_t lvl = schedule.level[n];
-    const auto phase = static_cast<std::uint8_t>(lvl == 0 ? 0 : (lvl - 1) % phases);
-    result.phase[n] = phase;
-    ++result.load[phase];
+    result.phase[n] = phase_of(lvl);
+    // Each stage of a buffer run loads its own phase; the stages sit at
+    // lvl - length + 1 ... lvl (those below level 1 in phase 0).
+    for (std::uint32_t j = 0; j < net.length(n); ++j) {
+      ++result.load[phase_of(lvl >= j ? lvl - j : 0)];
+    }
   });
   return result;
 }
@@ -63,7 +69,9 @@ void write_phase_report(const mig_network& net, const level_map& schedule,
     if (net.is_majority(n)) {
       ++majorities[lvl];
     } else if (net.is_buffer(n)) {
-      ++buffers[lvl];
+      for (std::uint32_t j = 0; j < net.buffer_length(n) && j <= lvl; ++j) {
+        ++buffers[lvl - j];  // one per stage of the run
+      }
     } else {
       ++fogs[lvl];
     }

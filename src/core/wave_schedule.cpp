@@ -25,12 +25,15 @@ wave_readiness check_wave_readiness(const mig_network& net, const level_map& sch
   result.outputs_aligned = true;
 
   net.foreach_node([&](node_index n) {
+    // The edge into a run ends at its first stage, length - 1 levels above
+    // the node's level; the run's inner edges span exactly one level.
+    const std::uint32_t inner = net.is_buffer(n) ? net.buffer_length(n) - 1 : 0;
     for (const signal f : net.fanins(n)) {
       if (net.is_constant(f.index())) {
         continue;
       }
       const std::uint32_t producer = schedule.level[f.index()];
-      const std::uint32_t consumer = schedule.level[n];
+      const std::uint32_t consumer = schedule.level[n] >= inner ? schedule.level[n] - inner : 0;
       // The span is only meaningful on forward edges; a backward or
       // level-equal edge is reported as such instead of as a wrapped-around
       // unsigned difference.

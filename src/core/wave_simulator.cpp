@@ -6,18 +6,19 @@
 #include "wavemig/engine/wave_engine.hpp"
 #include "wavemig/levels.hpp"
 
-// Thin front-ends over the compiled execution engine (engine/): the network
-// is lowered once per call and the engine's pre-bucketed tick program (or
-// the packed combinational program) does the actual work. See
+// Thin front-ends over the execution engine (engine/): the network is
+// lowered once per call, into the engine's pre-bucketed tick program or
+// the packed combinational program, which does the actual work. See
 // engine/wave_engine.hpp for the execution model.
 
 namespace wavemig {
 
 namespace {
 
-// Validation lives in the engine layer: the compiled_netlist constructor
-// rejects a mismatched schedule, engine::run_waves checks phases and wave
-// widths, and wave_batch/run_waves_packed cover the packed path.
+// Validation lives in the engine layer: engine::run_waves checks the
+// schedule, phases and wave widths, the compiled_netlist constructor
+// rejects a mismatched schedule, and wave_batch/run_waves_packed cover the
+// packed path.
 
 wave_run_result unpack_packed(const engine::packed_wave_result& packed) {
   wave_run_result result;
@@ -38,8 +39,7 @@ wave_run_result run_waves(const mig_network& net, const std::vector<std::vector<
 
 wave_run_result run_waves(const mig_network& net, const std::vector<std::vector<bool>>& waves,
                           unsigned phases, const level_map& schedule) {
-  const engine::compiled_netlist compiled{net, schedule};
-  return engine::run_waves(compiled, waves, phases);
+  return engine::run_waves(net, schedule, waves, phases);
 }
 
 wave_run_result run_waves_packed(const mig_network& net,

@@ -91,7 +91,6 @@ void compiled_netlist::lower(const mig_network& net, const level_map* schedule) 
   num_pis_ = static_cast<std::uint32_t>(net.num_pis());
   num_pos_ = static_cast<std::uint32_t>(net.num_pos());
   depth_ = schedule != nullptr ? schedule->depth : 0;
-  tick_slot_count_ = static_cast<std::uint32_t>(net.num_nodes());
 
   // Combinational program: fold buffers/fan-out gates by reference
   // forwarding, so the hot loop touches majority gates only. `comb_ref[n]`
@@ -101,33 +100,27 @@ void compiled_netlist::lower(const mig_network& net, const level_map* schedule) 
   comb_slot_count_ = 1 + num_pis_;  // slot 0 = constant, then the PIs
   comb_ops_.clear();
   comb_ops_.reserve(net.num_majorities());
-  tick_ops_.clear();
-  if (schedule != nullptr) {
-    tick_ops_.reserve(net.num_components());
-  }
-  pi_slots_.assign(num_pis_, 0);
 
-  min_edge_span_ = std::numeric_limits<std::uint32_t>::max();
-  max_edge_span_ = 0;
+  // Edge spans, widened to 64 bits so a schedule below a run's length
+  // reads as a non-advancing edge instead of wrapping.
+  std::uint64_t min_span = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t max_span = 0;
   bool any_edge = false;
 
   const auto resolve = [&](signal s) -> slot_ref {
     return comb_ref[s.index()] ^ static_cast<slot_ref>(s.is_complemented());
   };
-  const auto tick_ref = [](signal s) -> slot_ref {
-    return (s.index() << 1u) | static_cast<slot_ref>(s.is_complemented());
-  };
   const auto note_edge = [&](node_index consumer, signal fanin) {
-    if (net.is_constant(fanin.index())) {
+    if (schedule == nullptr || net.is_constant(fanin.index())) {
       return;  // constant fan-ins carry no data wave
     }
     any_edge = true;
-    const std::uint32_t consumer_level = (*schedule)[consumer];
-    const std::uint32_t producer_level = (*schedule)[fanin.index()];
-    const std::uint32_t span =
-        consumer_level > producer_level ? consumer_level - producer_level : 0;
-    min_edge_span_ = std::min(min_edge_span_, span);
-    max_edge_span_ = std::max(max_edge_span_, span);
+    // The edge into a run ends at its first stage, length - 1 levels up.
+    const std::uint64_t first_stage = std::uint64_t{(*schedule)[consumer]} + 1;
+    const std::uint64_t producer = std::uint64_t{(*schedule)[fanin.index()]} + net.length(consumer);
+    const std::uint64_t span = first_stage > producer ? first_stage - producer : 0;
+    min_span = std::min(min_span, span);
+    max_span = std::max(max_span, span);
   };
 
   net.foreach_node([&](node_index n) {
@@ -135,34 +128,24 @@ void compiled_netlist::lower(const mig_network& net, const level_map* schedule) 
       case node_kind::constant:
         comb_ref[n] = 0;  // slot 0, regular edge
         break;
-      case node_kind::primary_input: {
-        const auto position = static_cast<std::uint32_t>(net.pi_position(n));
-        comb_ref[n] = (1 + position) << 1u;
-        pi_slots_[position] = n;
+      case node_kind::primary_input:
+        comb_ref[n] = (1 + static_cast<std::uint32_t>(net.pi_position(n))) << 1u;
         break;
-      }
       case node_kind::majority: {
         const auto fis = net.fanins(n);
         const std::uint32_t slot = comb_slot_count_++;
         comb_ops_.push_back({slot, resolve(fis[0]), resolve(fis[1]), resolve(fis[2])});
         comb_ref[n] = slot << 1u;
-        if (schedule != nullptr) {
-          tick_ops_.push_back({n, tick_ref(fis[0]), tick_ref(fis[1]), tick_ref(fis[2]),
-                               (*schedule)[n], tick_kind::majority});
-          note_edge(n, fis[0]);
-          note_edge(n, fis[1]);
-          note_edge(n, fis[2]);
-        }
+        note_edge(n, fis[0]);
+        note_edge(n, fis[1]);
+        note_edge(n, fis[2]);
         break;
       }
       case node_kind::buffer:
       case node_kind::fanout: {
         const signal in = net.fanins(n)[0];
         comb_ref[n] = resolve(in);
-        if (schedule != nullptr) {
-          tick_ops_.push_back({n, tick_ref(in), 0, 0, (*schedule)[n], tick_kind::copy});
-          note_edge(n, in);
-        }
+        note_edge(n, in);
         break;
       }
     }
@@ -174,16 +157,22 @@ void compiled_netlist::lower(const mig_network& net, const level_map* schedule) 
   } else if (!any_edge) {
     min_edge_span_ = 1;  // vacuous coherence (constant / PI-only networks)
     max_edge_span_ = 1;
+  } else {
+    if (has_buffer_runs(net)) {
+      min_span = std::min<std::uint64_t>(min_span, 1);  // the runs' inner edges
+      max_span = std::max<std::uint64_t>(max_span, 1);
+    }
+    min_edge_span_ = static_cast<std::uint32_t>(min_span);
+    max_edge_span_ = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(max_span, std::numeric_limits<std::uint32_t>::max()));
   }
 
   comb_po_refs_.assign(num_pos_, 0);
-  po_refs_.assign(num_pos_, 0);
   po_levels_.assign(num_pos_, 0);
   po_constant_.assign(num_pos_, false);
   for (std::size_t p = 0; p < num_pos_; ++p) {
     const signal driver = net.po_signal(p);
     comb_po_refs_[p] = resolve(driver);
-    po_refs_[p] = tick_ref(driver);
     po_levels_[p] = schedule != nullptr ? (*schedule)[driver.index()] : 0;
     po_constant_[p] = net.is_constant(driver.index());
   }
@@ -192,7 +181,6 @@ void compiled_netlist::lower(const mig_network& net, const level_map* schedule) 
 std::size_t compiled_netlist::memory_bytes() const {
   const auto vec_bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
   return sizeof(*this) + vec_bytes(comb_ops_) + vec_bytes(comb_po_refs_) +
-         vec_bytes(tick_ops_) + vec_bytes(pi_slots_) + vec_bytes(po_refs_) +
          vec_bytes(po_levels_) + (po_constant_.capacity() + 7) / 8;
 }
 

@@ -8,9 +8,10 @@
 
 // Post-lowering optimizer over the combinational program (see
 // engine/optimizer.hpp for the pass catalogue and level semantics). The
-// tick program is deliberately untouched: its job is cycle-accurate wave
-// semantics, including interference, and removing "redundant" physical
-// components would change what it models. Every pass here preserves the
+// cycle-accurate oracle's tick program is lowered from the network, never
+// from this program: its job is wave semantics, including interference,
+// and removing "redundant" physical components would change what it
+// models. Every pass here preserves the
 // combinational function of every primary output bit-for-bit, which the
 // differential test suite enforces across all execution paths.
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -324,8 +325,69 @@ std::vector<std::vector<bool>> packed_wave_result::unpack() const {
 
 // --------------------------------------------------------- scalar path ---
 
-wave_run_result run_waves(const compiled_netlist& net,
-                          const std::vector<std::vector<bool>>& waves, unsigned phases) {
+namespace {
+
+/// Component of the tick program. Fan-ins are `slot_ref`s into the state
+/// array: one slot per network node (slot == node index), then one per
+/// inner stage of every buffer run.
+struct tick_op {
+  std::uint32_t target;
+  slot_ref a, b, c;     ///< copy ops use only `a`
+  std::uint32_t level;  ///< scheduled level (>= 1 for components)
+  bool majority;
+};
+
+/// The tick program of `net` under `schedule`, one op per unit component:
+/// a length-k buffer run scheduled at L becomes k chained copy stages at
+/// L - k + 1 ... L (a stage that would sit below level 1 never fires), its
+/// inner stages in state slots past the nodes'. Returns the slot count.
+std::size_t lower_ticks(const mig_network& net, const level_map& schedule,
+                        std::vector<tick_op>& ops) {
+  // The expanded netlist must fit the 31-bit index space of a slot
+  // reference, like any network; checked before anything is allocated.
+  const std::uint64_t inner_stages = net.num_buffers() - net.num_buffer_nodes();
+  if (net.num_nodes() + inner_stages > (std::uint64_t{1} << 31)) {
+    throw std::length_error{"run_waves: the expanded buffer runs exceed the node index space"};
+  }
+  std::size_t num_slots = net.num_nodes();
+  ops.reserve(net.num_components());
+  const auto ref = [](std::uint64_t slot, bool complemented) {
+    return static_cast<slot_ref>(slot << 1u) | static_cast<slot_ref>(complemented);
+  };
+  net.foreach_node([&](node_index n) {
+    const std::uint32_t level = schedule[n];
+    switch (net.kind(n)) {
+      case node_kind::majority: {
+        const auto f = net.fanins(n);
+        ops.push_back({n, ref(f[0].index(), f[0].is_complemented()),
+                       ref(f[1].index(), f[1].is_complemented()),
+                       ref(f[2].index(), f[2].is_complemented()), level, true});
+        break;
+      }
+      case node_kind::buffer:
+      case node_kind::fanout: {
+        const signal in = net.fanins(n)[0];
+        slot_ref from = ref(in.index(), in.is_complemented());
+        for (std::uint32_t j = net.length(n); j-- > 0;) {
+          const std::uint64_t slot = j == 0 ? n : num_slots++;
+          ops.push_back({static_cast<std::uint32_t>(slot), from, 0, 0,
+                         level >= j ? level - j : 0, false});
+          from = ref(slot, false);
+        }
+        break;
+      }
+      default:
+        break;
+    }
+  });
+  return num_slots;
+}
+
+}  // namespace
+
+wave_run_result run_waves(const mig_network& net, const level_map& schedule,
+                          const std::vector<std::vector<bool>>& waves, unsigned phases,
+                          unsigned fdm_lanes) {
   if (phases == 0) {
     throw std::invalid_argument{"run_waves: at least one clock phase required"};
   }
@@ -334,27 +396,35 @@ wave_run_result run_waves(const compiled_netlist& net,
       throw std::invalid_argument{"run_waves: each wave needs one value per primary input"};
     }
   }
+  // The clock metadata — depth, PO levels, edge spans — is the packed
+  // paths' own (which also checks the schedule against the network).
+  const compiled_netlist clock{net, schedule, compile_options{.fdm_lanes = fdm_lanes}};
 
   wave_run_result result;
-  fill_clock_metrics(result, net, phases, waves.size());
+  fill_clock_metrics(result, clock, phases, waves.size());
   result.outputs.assign(waves.size(), std::vector<bool>(net.num_pos(), false));
   if (waves.empty()) {
     return result;
   }
   // The tick simulator models a single physical lane: every wave occupies
-  // its own initiation slot regardless of the program's FDM tag, so the
+  // its own initiation slot regardless of the FDM lane count, so the
   // simulated tick span is computed lane-agnostically. result.ticks carries
   // the (possibly FDM-compressed) clock metadata and must not bound the
   // simulation loop — that would drop waves past the first physical slot.
+  const auto& po_levels = clock.po_levels();
+  const auto& po_constant = clock.po_constant();
   std::uint64_t last_tick = 0;
   const std::uint64_t final_wave = waves.size() - 1;
   for (std::uint32_t p = 0; p < net.num_pos(); ++p) {
-    if (net.po_constant()[p]) {
+    if (po_constant[p]) {
       continue;
     }
-    const std::uint32_t lvl = net.po_levels()[p];
+    const std::uint32_t lvl = po_levels[p];
     last_tick = std::max(last_tick, final_wave * phases + (lvl > 0 ? lvl - 1 : 0));
   }
+
+  std::vector<tick_op> ops;
+  const std::size_t num_slots = lower_ticks(net, schedule, ops);
 
   // Per-clock-phase firing lists, resolved once instead of per tick. Ops in
   // a list are ordered by decreasing level so the in-place update below
@@ -362,7 +432,6 @@ wave_run_result run_waves(const compiled_netlist& net,
   // spans >= 1 level, hence a consumer always updates before its producer
   // within the same tick. Only min(phases, max level) buckets can be
   // non-empty, so allocation stays bounded by the netlist, not by `phases`.
-  const auto& ops = net.tick_ops();
   std::uint32_t max_level = 0;
   for (const auto& o : ops) {
     max_level = std::max(max_level, o.level);
@@ -380,9 +449,10 @@ wave_run_result run_waves(const compiled_netlist& net,
       return ops[a].level > ops[b].level;
     });
   }
-  // A custom schedule may contain non-advancing edges; fall back to a full
-  // pre-tick snapshot in that case to keep the semantics exact.
-  const bool in_place = net.min_edge_span() >= 1;
+  // A custom schedule may contain non-advancing edges (a run scheduled
+  // below its length among them); fall back to a full pre-tick snapshot in
+  // that case to keep the semantics exact.
+  const bool in_place = clock.min_edge_span() >= 1;
 
   // Per-tick PO sampling schedule, resolved once: output p (driver level
   // lvl) samples wave w at tick w * phases + start with start = lvl - 1, so
@@ -392,36 +462,35 @@ wave_run_result run_waves(const compiled_netlist& net,
   struct po_sample {
     std::uint32_t po;
     std::uint64_t start;
-    slot_ref ref;
+    signal driver;
   };
   // Like phase_ops above, allocation is bounded by the netlist, not by
   // `phases`: only residues up to the largest sampling start can be
   // occupied, so ticks beyond the bucket count simply sample nothing.
   std::uint64_t max_start = 0;
   for (std::uint32_t p = 0; p < net.num_pos(); ++p) {
-    const std::uint32_t lvl = net.po_levels()[p];
+    const std::uint32_t lvl = po_levels[p];
     max_start = std::max<std::uint64_t>(max_start, lvl > 0 ? lvl - 1 : 0);
   }
   std::vector<std::vector<po_sample>> sample_buckets(
       static_cast<std::size_t>(std::min<std::uint64_t>(phases, max_start + 1)));
   for (std::uint32_t p = 0; p < net.num_pos(); ++p) {
-    if (net.po_constant()[p]) {
+    if (po_constant[p]) {
       continue;
     }
-    const std::uint32_t lvl = net.po_levels()[p];
+    const std::uint32_t lvl = po_levels[p];
     const std::uint64_t start = lvl > 0 ? lvl - 1 : 0;
-    sample_buckets[start % phases].push_back({p, start, net.po_refs()[p]});
+    sample_buckets[start % phases].push_back({p, start, net.po_signal(p)});
   }
 
-  std::vector<std::uint8_t> value(net.tick_slot_count(), 0);
+  std::vector<std::uint8_t> value(num_slots, 0);
   std::vector<std::uint8_t> snapshot;
 
   const auto read = [](const std::vector<std::uint8_t>& state, slot_ref ref) -> std::uint8_t {
     return state[ref >> 1] ^ static_cast<std::uint8_t>(ref & 1u);
   };
-  const auto apply = [&](const compiled_netlist::tick_op& o,
-                         const std::vector<std::uint8_t>& state) {
-    if (o.kind == compiled_netlist::tick_kind::majority) {
+  const auto apply = [&](const tick_op& o, const std::vector<std::uint8_t>& state) {
+    if (o.majority) {
       const std::uint8_t a = read(state, o.a);
       const std::uint8_t b = read(state, o.b);
       const std::uint8_t c = read(state, o.c);
@@ -437,7 +506,7 @@ wave_run_result run_waves(const compiled_netlist& net,
     const std::uint64_t wave = t / phases;
     if (t % phases == 0 && wave < waves.size()) {
       for (std::size_t i = 0; i < net.num_pis(); ++i) {
-        value[net.pi_slots()[i]] = static_cast<std::uint8_t>(waves[wave][i]);
+        value[net.pis()[i]] = static_cast<std::uint8_t>(waves[wave][i]);
       }
     }
 
@@ -465,7 +534,7 @@ wave_run_result run_waves(const compiled_netlist& net,
         }
         const std::uint64_t w = (t - s.start) / phases;
         if (w < waves.size()) {
-          result.outputs[w][s.po] = read(value, s.ref) != 0;
+          result.outputs[w][s.po] = (value[s.driver.index()] != 0) != s.driver.is_complemented();
         }
       }
     }
@@ -473,10 +542,10 @@ wave_run_result run_waves(const compiled_netlist& net,
 
   // Constant-driven outputs are the same for every wave.
   for (std::size_t p = 0; p < net.num_pos(); ++p) {
-    if (!net.po_constant()[p]) {
+    if (!po_constant[p]) {
       continue;
     }
-    const bool v = (net.po_refs()[p] & 1u) != 0;
+    const bool v = net.po_signal(p).is_complemented();
     for (auto& out : result.outputs) {
       out[p] = v;
     }

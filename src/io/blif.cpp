@@ -8,6 +8,7 @@
 
 #include "wavemig/io/mig_format.hpp"  // parse_error
 #include "wavemig/io/text_util.hpp"
+#include "wavemig/levels.hpp"
 
 namespace wavemig::io {
 
@@ -297,6 +298,10 @@ private:
 }  // namespace
 
 void write_blif(const mig_network& net, std::ostream& os, const std::string& model_name) {
+  if (has_buffer_runs(net)) {
+    write_blif(expand_buffer_runs(net), os, model_name);  // BLIF has no run syntax
+    return;
+  }
   blif_name_table names{net};
 
   os << ".model " << model_name << "\n.inputs";

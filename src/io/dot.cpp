@@ -9,6 +9,10 @@
 namespace wavemig::io {
 
 void write_dot(const mig_network& net, std::ostream& os) {
+  if (has_buffer_runs(net)) {
+    write_dot(expand_buffer_runs(net), os);  // one box per stage
+    return;
+  }
   const auto levels = compute_levels(net);
 
   os << "digraph mig {\n  rankdir=BT;\n";

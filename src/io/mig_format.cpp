@@ -1,6 +1,9 @@
 #include "wavemig/io/mig_format.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -43,7 +46,11 @@ void write_mig(const mig_network& net, std::ostream& os, const std::string& mode
         break;
       }
       case node_kind::buffer:
-        os << node_name(net, n) << " = BUF(" << operand(net, net.fanins(n)[0]) << ")\n";
+        os << node_name(net, n) << " = BUF(" << operand(net, net.fanins(n)[0]);
+        if (net.buffer_length(n) != 1) {
+          os << ", " << net.buffer_length(n);
+        }
+        os << ")\n";
         break;
       case node_kind::fanout:
         os << node_name(net, n) << " = FOG(" << operand(net, net.fanins(n)[0]) << ")\n";
@@ -73,6 +80,28 @@ struct reader_state {
   mig_network net;
   std::unordered_map<std::string, signal> symbols;
   std::size_t line_no{0};
+
+  /// Rejects a run that grows the network's unit-buffer form past the
+  /// 31-bit node index space. Every level is bounded by that count, so no
+  /// level of an accepted netlist can overflow either.
+  signal checked_run(signal s) const {
+    if (net.num_nodes() + (net.num_buffers() - net.num_buffer_nodes()) >
+        std::numeric_limits<std::int32_t>::max()) {
+      throw parse_error{line_no, "buffer runs exceed the node index space"};
+    }
+    return s;
+  }
+
+  /// A buffer run length: decimal digits only, 1 .. 2^32 - 1.
+  std::uint32_t parse_length(const std::string& token) const {
+    std::uint32_t value = 0;
+    const char* end = token.data() + token.size();
+    const auto [stop, error] = std::from_chars(token.data(), end, value);
+    if (error != std::errc{} || stop != end || value == 0) {
+      throw parse_error{line_no, "buffer run length '" + token + "' is not in 1 .. 2^32 - 1"};
+    }
+    return value;
+  }
 
   signal parse_operand(std::string token) {
     if (token == "0") {
@@ -184,12 +213,17 @@ mig_network read_mig(std::istream& is) {
       }
       s = st.net.create_maj(st.parse_operand(ops[0]), st.parse_operand(ops[1]),
                             st.parse_operand(ops[2]));
-    } else if (kind == "BUF" || kind == "FOG") {
-      if (ops.size() != 1) {
-        throw parse_error{st.line_no, kind + " requires one operand"};
+    } else if (kind == "BUF") {
+      if (ops.size() != 1 && ops.size() != 2) {
+        throw parse_error{st.line_no, "BUF requires one operand and an optional length"};
       }
-      s = kind == "BUF" ? st.net.create_buffer(st.parse_operand(ops[0]))
-                        : st.net.create_fanout(st.parse_operand(ops[0]));
+      s = st.checked_run(st.net.create_buffer(st.parse_operand(ops[0]),
+                                              ops.size() == 2 ? st.parse_length(ops[1]) : 1));
+    } else if (kind == "FOG") {
+      if (ops.size() != 1) {
+        throw parse_error{st.line_no, "FOG requires one operand"};
+      }
+      s = st.net.create_fanout(st.parse_operand(ops[0]));
     } else {
       throw parse_error{st.line_no, "unknown component kind '" + kind + "'"};
     }

@@ -1,6 +1,7 @@
 #include "wavemig/io/verilog.hpp"
 
 #include "wavemig/io/text_util.hpp"
+#include "wavemig/levels.hpp"
 
 #include <fstream>
 
@@ -25,6 +26,10 @@ std::string v_operand(const mig_network& net, signal s) {
 }  // namespace
 
 void write_verilog(const mig_network& net, std::ostream& os, const std::string& module_name) {
+  if (has_buffer_runs(net)) {
+    write_verilog(expand_buffer_runs(net), os, module_name);  // one assign per stage
+    return;
+  }
   os << "// generated by wavemig\nmodule " << module_name << "(";
   bool first = true;
   for (std::size_t i = 0; i < net.num_pis(); ++i) {

@@ -167,13 +167,7 @@ private:
   void sync() {
     while (levels_.size() < net_.num_nodes()) {
       const auto n = static_cast<node_index>(levels_.size());
-      std::uint32_t lvl = 0;
-      for (const signal f : net_.fanins(n)) {
-        if (!net_.is_constant(f.index())) {
-          lvl = std::max(lvl, levels_[f.index()] + 1);
-        }
-      }
-      levels_.push_back(lvl);
+      levels_.push_back(node_level(net_, n, levels_));
     }
   }
 
@@ -199,7 +193,7 @@ mig_network rewrite_once(const mig_network& net, bool allow_area) {
         break;
       }
       case node_kind::buffer:
-        map[n] = result.create_buffer(mapped(net.fanins(n)[0]));
+        map[n] = result.create_buffer(mapped(net.fanins(n)[0]), net.buffer_length(n));
         break;
       case node_kind::fanout:
         map[n] = result.create_fanout(mapped(net.fanins(n)[0]));

@@ -6,6 +6,11 @@ namespace wavemig {
 
 namespace {
 
+/// Whether `n` is a buffer run of two or more stages, flipped as its last.
+bool is_long_run(const mig_network& net, node_index n) {
+  return net.is_buffer(n) && net.buffer_length(n) > 1;
+}
+
 bool edge_has_inverter(const mig_network& net, const std::vector<bool>& flip, signal edge,
                        node_index consumer_or_po, bool is_po) {
   const node_index driver = edge.index();
@@ -16,7 +21,8 @@ bool edge_has_inverter(const mig_network& net, const std::vector<bool>& flip, si
   if (flip[driver]) {
     present = !present;
   }
-  if (!is_po && flip[consumer_or_po]) {
+  // The edge into a long run ends at its first stage, which never flips.
+  if (!is_po && flip[consumer_or_po] && !is_long_run(net, consumer_or_po)) {
     present = !present;
   }
   return present;
@@ -31,6 +37,9 @@ std::size_t count_inverters(const mig_network& net, const std::vector<bool>& fli
       if (edge_has_inverter(net, flip, f, n, false)) {
         ++count;
       }
+    }
+    if (is_long_run(net, n) && flip[n]) {
+      ++count;  // the inner edge into the run's flipped last stage
     }
   });
   for (const auto& po : net.pos()) {
@@ -53,17 +62,23 @@ polarity_assignment optimize_inverters(const mig_network& net) {
 
   // Gain of flipping node n: every touching non-constant edge toggles its
   // inverter, so gain = (#present) - (#absent) over in- and out-edges.
+  // A long run's in-edge does not toggle with its flip; the inner edge into
+  // its last stage does, and carries an inverter iff the run is flipped.
   auto gain = [&](node_index n) -> long {
     long present = 0;
     long absent = 0;
-    for (const signal f : net.fanins(n)) {
-      if (net.is_constant(f.index())) {
-        continue;
-      }
-      if (edge_has_inverter(net, result.flip, f, n, false)) {
-        ++present;
-      } else {
-        ++absent;
+    if (is_long_run(net, n)) {
+      (result.flip[n] ? present : absent) += 1;
+    } else {
+      for (const signal f : net.fanins(n)) {
+        if (net.is_constant(f.index())) {
+          continue;
+        }
+        if (edge_has_inverter(net, result.flip, f, n, false)) {
+          ++present;
+        } else {
+          ++absent;
+        }
       }
     }
     for (const auto& edge : fanouts.edges[n]) {

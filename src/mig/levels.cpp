@@ -9,24 +9,10 @@ level_map compute_levels(const mig_network& net) {
   level_map result;
   result.level.assign(net.num_nodes(), 0);
 
-  net.foreach_node([&](node_index n) {
-    std::uint32_t lvl = 0;
-    bool has_wave_input = false;
-    for (const signal f : net.fanins(n)) {
-      if (net.is_constant(f.index())) {
-        continue;
-      }
-      has_wave_input = true;
-      lvl = std::max(lvl, result.level[f.index()] + 1);
-    }
-    // A component fed only by constants would be degenerate; canonicalization
-    // prevents it for majority gates, and buffers/FOGs on constants keep
-    // level 0 + 1 via the has_wave_input fallback below.
-    if (!has_wave_input && (net.is_majority(n) || net.is_buffer(n) || net.is_fanout_gate(n))) {
-      lvl = 1;
-    }
-    result.level[n] = lvl;
-  });
+  // A component fed only by constants would be degenerate; canonicalization
+  // prevents it for majority gates, and buffers/FOGs on constants count
+  // from level 0 (node_level).
+  net.foreach_node([&](node_index n) { result.level[n] = node_level(net, n, result.level); });
 
   for (const auto& po : net.pos()) {
     if (!net.is_constant(po.driver.index())) {
@@ -38,9 +24,65 @@ level_map compute_levels(const mig_network& net) {
 
 std::uint32_t max_exclusive_base_distance(const mig_network& net, const level_map& levels,
                                           node_index n) {
-  (void)net;
+  if (net.is_pi(n) || net.is_constant(n)) {
+    return 0;
+  }
   const std::uint32_t own = levels.level[n];
-  return own == 0 ? 0 : own - 1;
+  const std::uint32_t length = net.length(n);
+  return own < length ? 0 : own - length;
+}
+
+mig_network expand_buffer_runs(const mig_network& net) {
+  mig_network out;
+  out.reserve(net.num_nodes() + (net.num_buffers() - net.num_buffer_nodes()));
+  std::vector<signal> map(net.num_nodes(), constant0);
+  const auto mapped = [&](signal s) { return map[s.index()].complement_if(s.is_complemented()); };
+  net.foreach_node([&](node_index n) {
+    switch (net.kind(n)) {
+      case node_kind::constant:
+        return;
+      case node_kind::primary_input:
+        map[n] = out.create_pi(net.pi_name(net.pi_position(n)));
+        return;
+      case node_kind::majority: {
+        const auto fis = net.fanins(n);
+        map[n] = out.create_maj(mapped(fis[0]), mapped(fis[1]), mapped(fis[2]));
+        return;
+      }
+      case node_kind::buffer: {
+        signal s = mapped(net.fanins(n)[0]);
+        for (std::uint32_t j = 0; j < net.buffer_length(n); ++j) {
+          s = out.create_buffer(s);
+        }
+        map[n] = s;
+        return;
+      }
+      case node_kind::fanout:
+        map[n] = out.create_fanout(mapped(net.fanins(n)[0]));
+        return;
+    }
+  });
+  for (const auto& po : net.pos()) {
+    out.create_po(mapped(po.driver), po.name);
+  }
+  return out;
+}
+
+level_map expand_schedule(const mig_network& net, const level_map& schedule) {
+  if (schedule.level.size() != net.num_nodes()) {
+    throw std::invalid_argument{"expand_schedule: schedule does not match the network"};
+  }
+  level_map out;
+  out.depth = schedule.depth;
+  out.level.reserve(net.num_nodes() + (net.num_buffers() - net.num_buffer_nodes()));
+  net.foreach_node([&](node_index n) {
+    const std::uint32_t level = schedule[n];
+    for (std::uint32_t j = net.is_buffer(n) ? net.buffer_length(n) : 1; j-- > 1;) {
+      out.level.push_back(level >= j ? level - j : 0);
+    }
+    out.level.push_back(level);
+  });
+  return out;
 }
 
 namespace {
@@ -92,14 +134,14 @@ fanout_map compute_fanouts(const mig_network& net) {
 std::size_t max_fanout_degree(const mig_network& net) {
   std::vector<std::uint32_t> degree(net.num_nodes(), 0);  // the constant stays at 0
   foreach_fanout_edge(net, [&](node_index driver, const fanout_map::edge&) { ++degree[driver]; });
-  return *std::max_element(degree.begin(), degree.end());
+  const std::size_t inner = has_buffer_runs(net) ? 1 : 0;  // a run's inner stages
+  return std::max<std::size_t>(inner, *std::max_element(degree.begin(), degree.end()));
 }
 
-network_stats compute_stats(const mig_network& net) {
-  return compute_stats(net, compute_levels(net));
-}
+namespace {
 
-network_stats compute_stats(const mig_network& net, const level_map& levels) {
+/// The count fields of the statistics (everything but depth and fan-out).
+network_stats counts_of(const mig_network& net) {
   network_stats s;
   s.pis = net.num_pis();
   s.pos = net.num_pos();
@@ -107,6 +149,37 @@ network_stats compute_stats(const mig_network& net, const level_map& levels) {
   s.buffers = net.num_buffers();
   s.fanout_gates = net.num_fanout_gates();
   s.components = net.num_components();
+  return s;
+}
+
+}  // namespace
+
+network_stats compute_stats(const mig_network& net) {
+  // One walk over the nodes both levels them and counts their fan-out
+  // degrees: compute_levels and max_fanout_degree, fused.
+  std::vector<std::uint32_t> level(net.num_nodes(), 0);
+  std::vector<std::uint32_t> degree(net.num_nodes(), 0);
+  net.foreach_node([&](node_index n) {
+    level[n] = node_level(net, n, level);
+    for (const signal f : net.fanins(n)) {
+      ++degree[f.index()];
+    }
+  });
+  network_stats s = counts_of(net);
+  for (const auto& po : net.pos()) {
+    ++degree[po.driver.index()];
+    if (!net.is_constant(po.driver.index())) {
+      s.depth = std::max(s.depth, level[po.driver.index()]);
+    }
+  }
+  degree[0] = 0;  // constants are gate-internal biases, not routed signals
+  const std::size_t inner = has_buffer_runs(net) ? 1 : 0;  // a run's inner stages
+  s.max_fanout = std::max<std::size_t>(inner, *std::max_element(degree.begin(), degree.end()));
+  return s;
+}
+
+network_stats compute_stats(const mig_network& net, const level_map& levels) {
+  network_stats s = counts_of(net);
   s.depth = levels.depth;
   s.max_fanout = max_fanout_degree(net);
   return s;

@@ -30,14 +30,40 @@ signal mig_network::create_pi(std::string name) {
   return signal{index, false};
 }
 
-std::size_t mig_network::maj_key_hash::operator()(const maj_key& k) const noexcept {
+std::size_t mig_network::strash_slot(const std::array<signal, 3>& fanin) const {
   // FNV-1a over the three raw signal words.
-  std::size_t h = 1469598103934665603ull;
-  for (auto word : k.raw) {
-    h ^= word;
+  std::uint64_t h = 1469598103934665603ull;
+  for (const signal s : fanin) {
+    h ^= s.raw();
     h *= 1099511628211ull;
   }
-  return h;
+  return static_cast<std::size_t>(h ^ (h >> 32)) & (strash_.size() - 1);
+}
+
+void mig_network::rehash(std::size_t slots) {
+  std::vector<node_index> old(slots, 0);
+  strash_.swap(old);
+  const std::size_t mask = strash_.size() - 1;
+  for (const node_index n : old) {
+    if (n != 0) {
+      std::size_t slot = strash_slot(nodes_[n].fanin);
+      while (strash_[slot] != 0) {
+        slot = (slot + 1) & mask;
+      }
+      strash_[slot] = n;
+    }
+  }
+}
+
+void mig_network::reserve(std::size_t num_nodes, std::size_t num_majorities) {
+  nodes_.reserve(num_nodes);
+  std::size_t slots = strash_.empty() ? 64 : strash_.size();
+  while (slots < 2 * num_majorities) {
+    slots *= 2;
+  }
+  if (slots != strash_.size()) {
+    rehash(slots);
+  }
 }
 
 signal mig_network::create_maj(signal a, signal b, signal c) {
@@ -73,9 +99,15 @@ signal mig_network::lookup_or_create_maj(signal a, signal b, signal c, bool outp
   std::array<signal, 3> in{a, b, c};
   std::sort(in.begin(), in.end());
 
-  const maj_key key{{in[0].raw(), in[1].raw(), in[2].raw()}};
-  if (const auto it = strash_.find(key); it != strash_.end()) {
-    return signal{it->second, output_complemented};
+  if (2 * (num_majorities_ + 1) > strash_.size()) {
+    rehash(strash_.empty() ? 64 : 2 * strash_.size());
+  }
+  const std::size_t mask = strash_.size() - 1;
+  std::size_t slot = strash_slot(in);
+  for (; strash_[slot] != 0; slot = (slot + 1) & mask) {
+    if (nodes_[strash_[slot]].fanin == in) {
+      return signal{strash_[slot], output_complemented};
+    }
   }
 
   const auto index = static_cast<node_index>(nodes_.size());
@@ -83,7 +115,7 @@ signal mig_network::lookup_or_create_maj(signal a, signal b, signal c, bool outp
   n.kind = node_kind::majority;
   n.fanin = in;
   nodes_.push_back(n);
-  strash_.emplace(key, index);
+  strash_[slot] = index;
   ++num_majorities_;
   return signal{index, output_complemented};
 }
@@ -113,14 +145,19 @@ std::pair<signal, signal> mig_network::create_full_adder(signal a, signal b, sig
   return {sum, carry};
 }
 
-signal mig_network::create_buffer(signal in) {
+signal mig_network::create_buffer(signal in, std::uint32_t length) {
   check_signal(nodes_, in, "create_buffer");
+  if (length == 0) {
+    throw std::invalid_argument{"create_buffer: a buffer run has at least one stage"};
+  }
   const auto index = static_cast<node_index>(nodes_.size());
   node n;
   n.kind = node_kind::buffer;
   n.fanin[0] = in;
+  n.aux = length;
   nodes_.push_back(n);
-  ++num_buffers_;
+  num_buffers_ += length;
+  ++num_buffer_nodes_;
   return signal{index, false};
 }
 
@@ -140,19 +177,6 @@ std::uint32_t mig_network::create_po(signal driver, std::string name) {
   const auto position = static_cast<std::uint32_t>(pos_.size());
   pos_.push_back(output{driver, name.empty() ? "po" + std::to_string(position) : std::move(name)});
   return position;
-}
-
-std::span<const signal> mig_network::fanins(node_index n) const {
-  const auto& nd = nodes_[n];
-  switch (nd.kind) {
-    case node_kind::majority:
-      return {nd.fanin.data(), 3};
-    case node_kind::buffer:
-    case node_kind::fanout:
-      return {nd.fanin.data(), 1};
-    default:
-      return {};
-  }
 }
 
 }  // namespace wavemig

@@ -26,7 +26,8 @@ level_map compute_alap(const mig_network& net, const level_map& asap) {
         // aligns the outputs without padding buffers.
         latest = std::min(latest, depth);
       } else {
-        latest = std::min(latest, result.level[edge.consumer] - 1);
+        // A run consumer's first stage sits length - 1 levels above it.
+        latest = std::min(latest, result.level[edge.consumer] - net.length(edge.consumer));
       }
     }
     result.level[n] = latest;
@@ -58,7 +59,7 @@ level_map compute_schedule(const mig_network& net, schedule_policy policy) {
     std::uint32_t lvl = (asap.level[n] + alap.level[n]) / 2;
     for (const signal f : net.fanins(n)) {
       if (!net.is_constant(f.index())) {
-        lvl = std::max(lvl, result.level[f.index()] + 1);
+        lvl = std::max(lvl, result.level[f.index()] + net.length(n));
       }
     }
     result.level[n] = std::min(lvl, alap.level[n]);
@@ -82,7 +83,8 @@ bool is_valid_schedule(const mig_network& net, const level_map& levels) {
       valid = false;
     }
     for (const signal f : net.fanins(n)) {
-      if (!net.is_constant(f.index()) && levels.level[n] < levels.level[f.index()] + 1) {
+      if (!net.is_constant(f.index()) &&
+          levels.level[n] < std::uint64_t{levels.level[f.index()]} + net.length(n)) {
         valid = false;
       }
     }
@@ -95,7 +97,7 @@ std::uint64_t slack_sum(const mig_network& net, const level_map& levels) {
   net.foreach_node([&](node_index n) {
     for (const signal f : net.fanins(n)) {
       if (!net.is_constant(f.index())) {
-        total += levels.level[n] - levels.level[f.index()] - 1;
+        total += levels.level[n] - levels.level[f.index()] - net.length(n);
       }
     }
   });

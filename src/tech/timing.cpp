@@ -35,12 +35,16 @@ timing_report analyze_stage_timing(const mig_network& net, const technology& tec
 
   double worst_relative = 0.0;
   net.foreach_component([&](node_index n) {
-    bool has_inverter = false;
+    // A buffer run of two or more stages flips as its last stage (see
+    // inverter_optimization.hpp): its first stage sees the in-edge without
+    // its own flip, its last stage an inverter iff the run is flipped.
+    const bool long_run = net.is_buffer(n) && net.buffer_length(n) > 1;
+    bool has_inverter = long_run && flip[n];
     for (const signal f : net.fanins(n)) {
       if (net.is_constant(f.index())) {
         continue;
       }
-      const bool inverter = f.is_complemented() ^ flip[f.index()] ^ flip[n];
+      const bool inverter = f.is_complemented() ^ flip[f.index()] ^ (flip[n] && !long_run);
       has_inverter = has_inverter || inverter;
     }
     const double stage = relative_delay(n) + (has_inverter ? tech.inv.delay : 0.0);

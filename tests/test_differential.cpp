@@ -372,7 +372,7 @@ TEST(differential, every_builtin_scenario_agrees_across_all_engine_paths) {
       const engine::compiled_netlist reference{prepared.net};
 
       // Path 1 — cycle-accurate scalar simulation of the prepared program.
-      const auto scalar = engine::run_waves(reference, waves, 3);
+      const auto scalar = engine::run_waves(prepared.net, compute_levels(prepared.net), waves, 3);
       // Path 2 — packed multi-word kernel on the same program.
       const auto packed = engine::run_waves_packed(reference, batch, 3);
       // Path 3 — sharded parallel run through the scenario-tagged cache.

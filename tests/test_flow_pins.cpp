@@ -1,11 +1,14 @@
 // Pins the exact netlists the wave-pipelining passes emit. Each case's
-// output is reduced to engine::network_fingerprint (node kinds, fan-in
-// signals in node order, PI positions, PO drivers) and, for insert_buffers,
-// a hash of the returned schedule. The constants are the outputs the
-// passes have always produced: a change to their containers or iteration
-// order must reproduce them bit for bit. Any reordering of fan-out edges,
-// taps, buffer-tree vertices or created nodes changes a fingerprint and
-// fails here, not only in a paper figure.
+// output is expanded to unit buffers (expand_buffer_runs, with
+// expand_schedule for the schedule) and reduced to
+// engine::network_fingerprint (node kinds, fan-in signals in node order,
+// PI positions, PO drivers) and, for insert_buffers, a hash of the returned
+// schedule. The constants are the outputs the passes have always produced,
+// recorded before buffers were stored as runs: a change to their
+// containers, iteration order or run collapsing must reproduce the same
+// unit-buffer circuit bit for bit. Any reordering of fan-out edges, taps,
+// buffer-tree vertices or created nodes changes a fingerprint and fails
+// here, not only in a paper figure.
 
 #include <gtest/gtest.h>
 
@@ -223,7 +226,7 @@ TEST(flow_pins, wave_pipeline_emits_the_pinned_netlists) {
     pipeline_options opts;
     opts.scenario = tech_scenario::by_name(pin.scenario);
     const auto result = wave_pipeline(gen::build_benchmark(pin.circuit), opts);
-    EXPECT_EQ(engine::network_fingerprint(result.net), pin.fingerprint)
+    EXPECT_EQ(engine::network_fingerprint(expand_buffer_runs(result.net)), pin.fingerprint)
         << pin.circuit << " under " << pin.scenario;
     EXPECT_EQ(result.final_stats.components, pin.components)
         << pin.circuit << " under " << pin.scenario;
@@ -253,8 +256,10 @@ TEST(flow_pins, insert_buffers_emits_the_pinned_netlists_and_schedules) {
                              ", strategy " + std::to_string(static_cast<int>(pin.strategy)) +
                              ", schedule " + std::to_string(static_cast<int>(pin.schedule)) +
                              ", tolerance " + std::to_string(pin.tolerance);
-    EXPECT_EQ(engine::network_fingerprint(result.net), pin.fingerprint) << what;
-    EXPECT_EQ(schedule_hash(result.schedule), pin.schedule_hash) << what;
+    EXPECT_EQ(engine::network_fingerprint(expand_buffer_runs(result.net)), pin.fingerprint)
+        << what;
+    EXPECT_EQ(schedule_hash(expand_schedule(result.net, result.schedule)), pin.schedule_hash)
+        << what;
     EXPECT_EQ(result.buffers_added, pin.buffers_added) << what;
   }
 }
@@ -270,8 +275,10 @@ TEST(flow_pins, multi_vertex_buffer_trees_are_pinned) {
     const auto result = insert_buffers(net, opts);
     const std::string what = "schedule " + std::to_string(static_cast<int>(pin.schedule)) +
                              ", tolerance " + std::to_string(pin.tolerance);
-    EXPECT_EQ(engine::network_fingerprint(result.net), pin.fingerprint) << what;
-    EXPECT_EQ(schedule_hash(result.schedule), pin.schedule_hash) << what;
+    EXPECT_EQ(engine::network_fingerprint(expand_buffer_runs(result.net)), pin.fingerprint)
+        << what;
+    EXPECT_EQ(schedule_hash(expand_schedule(result.net, result.schedule)), pin.schedule_hash)
+        << what;
     EXPECT_EQ(result.buffers_added, pin.buffers_added) << what;
   }
   opts.schedule = asap;

@@ -107,6 +107,22 @@ TEST(io_fuzz, mig_reader_survives_corruption) {
   std::stringstream ss;
   io::write_mig(net, ss);
   corruption_sweep(ss.str(), [](std::istream& is) { return io::read_mig(is); }, 101);
+
+  // A balanced netlist seeds the run syntax, BUF(<op>, <length>): a mutated
+  // length must parse within bounds or throw. Whatever parses levels.
+  const auto balanced = wave_pipeline(net).net;
+  ASSERT_TRUE(has_buffer_runs(balanced));
+  std::stringstream runs;
+  io::write_mig(balanced, runs);
+  ASSERT_NE(runs.str().find(", "), std::string::npos);
+  corruption_sweep(
+      runs.str(),
+      [](std::istream& is) {
+        auto parsed = io::read_mig(is);
+        (void)compute_levels(parsed);
+        return parsed;
+      },
+      104);
 }
 
 TEST(io_fuzz, blif_reader_survives_corruption) {

@@ -5,10 +5,13 @@
 #include <sstream>
 
 #include "wavemig/buffer_insertion.hpp"
+#include "wavemig/engine/parallel_executor.hpp"
 #include "wavemig/fanout_restriction.hpp"
 #include "wavemig/gen/arith.hpp"
 #include "wavemig/levels.hpp"
+#include "wavemig/pipeline.hpp"
 #include "wavemig/simulation.hpp"
+#include "wavemig/wave_schedule.hpp"
 
 namespace wavemig {
 namespace {
@@ -142,6 +145,62 @@ TEST(mig_format, file_round_trip) {
   const auto back = io::read_mig_file(path);
   EXPECT_TRUE(functionally_equivalent(net, back));
   EXPECT_THROW(io::read_mig_file("/nonexistent/path.mig"), std::runtime_error);
+}
+
+TEST(mig_format, round_trips_buffer_runs) {
+  const auto net = wave_pipeline(gen::multiplier_circuit(5)).net;
+  ASSERT_TRUE(has_buffer_runs(net));
+  std::stringstream ss;
+  io::write_mig(net, ss);
+  EXPECT_NE(ss.str().find("= BUF(n"), std::string::npos);
+  const auto back = io::read_mig(ss);
+  EXPECT_EQ(back.num_buffers(), net.num_buffers());
+  EXPECT_EQ(back.num_buffer_nodes(), net.num_buffer_nodes());
+  EXPECT_EQ(compute_levels(back).depth, compute_levels(net).depth);
+  EXPECT_TRUE(check_wave_readiness(back).ready);
+  EXPECT_TRUE(functionally_equivalent(net, back));
+  // Written again, the read-back netlist is stable.
+  std::stringstream again;
+  io::write_mig(back, again);
+  EXPECT_EQ(engine::network_fingerprint(io::read_mig(again)), engine::network_fingerprint(back));
+
+  std::stringstream hand{".inputs a\nn1 = BUF(a, 4)\nn2 = BUF(n1)\n.output f = !n2\n"};
+  const auto runs = io::read_mig(hand);
+  EXPECT_EQ(runs.num_buffers(), 5u);
+  EXPECT_EQ(runs.num_buffer_nodes(), 2u);
+  EXPECT_EQ(compute_levels(runs).depth, 5u);
+  std::stringstream out;
+  io::write_mig(runs, out);
+  EXPECT_NE(out.str().find("n2 = BUF(a, 4)\n"), std::string::npos);
+  EXPECT_NE(out.str().find("n3 = BUF(n2)\n"), std::string::npos);
+}
+
+TEST(mig_format, rejects_hostile_run_lengths) {
+  const auto rejects = [](const std::string& text, std::size_t line) {
+    std::stringstream ss{text};
+    try {
+      (void)io::read_mig(ss);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const io::parse_error& e) {
+      EXPECT_EQ(e.line(), line) << text << ": " << e.what();
+    }
+  };
+  rejects(".inputs a\nn1 = BUF(a, 0)\n", 2);
+  rejects(".inputs a\nn1 = BUF(a, -3)\n", 2);
+  rejects(".inputs a\nn1 = BUF(a, 3x)\n", 2);
+  rejects(".inputs a\nn1 = BUF(a, )\n", 2);
+  rejects(".inputs a\nn1 = BUF(a, 2, 3)\n", 2);
+  rejects(".inputs a\nn1 = BUF(a, 4294967296)\n", 2);
+  rejects(".inputs a\nn1 = BUF(a, 99999999999999999999999)\n", 2);
+  // The unit-buffer form would outgrow the 31-bit node index space, which
+  // also bounds every level: one run, or runs that fit one at a time.
+  rejects(".inputs a\nn1 = BUF(a, 4294967295)\n", 2);
+  rejects(".inputs a\nn1 = BUF(a, 2147483647)\n", 2);
+  rejects(".inputs a\nn1 = BUF(a, 2000000000)\nn2 = BUF(n1, 2000000000)\n", 3);
+  rejects(".inputs a b\nn1 = BUF(a, 2000000000)\nn2 = BUF(b, 200000000)\n", 3);
+
+  std::stringstream deep{".inputs a\nn1 = BUF(a, 2000000000)\n.output f = n1\n"};
+  EXPECT_EQ(compute_levels(io::read_mig(deep)).depth, 2000000000u);
 }
 
 }  // namespace

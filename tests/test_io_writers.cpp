@@ -4,8 +4,13 @@
 
 #include "wavemig/buffer_insertion.hpp"
 #include "wavemig/gen/arith.hpp"
+#include "wavemig/io/blif.hpp"
 #include "wavemig/io/dot.hpp"
 #include "wavemig/io/verilog.hpp"
+#include "wavemig/levels.hpp"
+#include "wavemig/pipeline.hpp"
+#include "wavemig/simulation.hpp"
+#include "wavemig/wave_schedule.hpp"
 
 namespace wavemig {
 namespace {
@@ -100,6 +105,43 @@ TEST(dot_writer, level_ranks_align_wave_fronts) {
     ++ranks;
   }
   EXPECT_GE(ranks, 4u);
+}
+
+TEST(run_writers, blif_verilog_and_dot_write_runs_as_unit_chains) {
+  // The text formats have no run syntax: each writes the unit-buffer chain
+  // the runs stand for, and reading it back gives the same circuit.
+  const auto net = wave_pipeline(gen::multiplier_circuit(4)).net;
+  ASSERT_TRUE(has_buffer_runs(net));
+  const auto unit = expand_buffer_runs(net);
+  const auto text = [](auto write, const mig_network& n) {
+    std::stringstream ss;
+    write(n, ss);
+    return ss.str();
+  };
+  const auto blif = [](const mig_network& n, std::ostream& os) { io::write_blif(n, os); };
+  const auto verilog = [](const mig_network& n, std::ostream& os) { io::write_verilog(n, os); };
+  const auto dot = [](const mig_network& n, std::ostream& os) { io::write_dot(n, os); };
+  EXPECT_EQ(text(blif, net), text(blif, unit));
+  EXPECT_EQ(text(verilog, net), text(verilog, unit));
+  EXPECT_EQ(text(dot, net), text(dot, unit));
+
+  std::stringstream blif_text{text(blif, net)};
+  const auto from_blif = io::read_blif(blif_text);
+  EXPECT_TRUE(functionally_equivalent(net, from_blif));
+
+  // Verilog keeps every component: the stats of the run netlist come back.
+  std::stringstream verilog_text{text(verilog, net)};
+  const auto from_verilog = io::read_verilog(verilog_text);
+  EXPECT_TRUE(functionally_equivalent(net, from_verilog));
+  const auto want = compute_stats(net);
+  const auto got = compute_stats(from_verilog);
+  EXPECT_EQ(got.majorities, want.majorities);
+  EXPECT_EQ(got.buffers, want.buffers);
+  EXPECT_EQ(got.fanout_gates, want.fanout_gates);
+  EXPECT_EQ(got.components, want.components);
+  EXPECT_EQ(got.depth, want.depth);
+  EXPECT_EQ(got.max_fanout, want.max_fanout);
+  EXPECT_TRUE(check_wave_readiness(from_verilog).ready);
 }
 
 }  // namespace

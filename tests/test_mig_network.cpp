@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "wavemig/simulation.hpp"
 
 namespace wavemig {
@@ -198,6 +201,62 @@ TEST(mig_network, index_order_is_topological) {
       EXPECT_LT(f.index(), n);
     }
   });
+}
+
+TEST(mig_network, structural_hashing_survives_growth_and_copies) {
+  // Enough gates to grow the hash table several times; every gate is found
+  // again, in the network and in a copy, and a copy hashes on its own.
+  mig_network net;
+  std::vector<signal> pis;
+  for (int i = 0; i < 40; ++i) {
+    pis.push_back(net.create_pi());
+  }
+  struct triple {
+    int i, j, l;
+  };
+  std::vector<triple> triples;
+  std::vector<signal> gates;
+  for (int i = 0; i < 20; ++i) {
+    for (int j = i + 1; j <= i + 8; ++j) {
+      for (int l = j + 1; l <= j + 3; ++l) {
+        triples.push_back({i, j, l});
+        gates.push_back(net.create_maj(pis[i], !pis[j], pis[l]));
+      }
+    }
+  }
+  const std::size_t majorities = net.num_majorities();
+  ASSERT_EQ(majorities, triples.size());
+  const mig_network copy = net;
+  mig_network grown = net;
+  for (std::size_t k = 0; k < triples.size(); ++k) {
+    const auto [i, j, l] = triples[k];
+    EXPECT_EQ(net.create_maj(pis[l], pis[i], !pis[j]), gates[k]);
+    EXPECT_EQ(grown.create_maj(!pis[j], pis[l], pis[i]), gates[k]);
+  }
+  EXPECT_EQ(net.num_majorities(), majorities);
+  EXPECT_EQ(grown.num_majorities(), majorities);
+  // A gate new to the copy is not in the original.
+  const signal fresh = grown.create_maj(gates[0], gates[1], gates[2]);
+  EXPECT_EQ(grown.num_majorities(), majorities + 1);
+  EXPECT_EQ(copy.num_majorities(), majorities);
+  EXPECT_EQ(net.create_maj(gates[0], gates[1], gates[2]), fresh);  // same next index
+  EXPECT_EQ(net.num_majorities(), majorities + 1);
+}
+
+TEST(mig_network, buffer_runs_count_their_stages) {
+  mig_network net;
+  const signal a = net.create_pi();
+  const signal run = net.create_buffer(a, 7);
+  const signal unit = net.create_buffer(run);
+  EXPECT_EQ(net.buffer_length(run.index()), 7u);
+  EXPECT_EQ(net.buffer_length(unit.index()), 1u);
+  EXPECT_EQ(net.length(run.index()), 7u);
+  EXPECT_EQ(net.length(net.create_fanout(unit).index()), 1u);
+  EXPECT_EQ(net.num_buffers(), 8u);
+  EXPECT_EQ(net.num_buffer_nodes(), 2u);
+  EXPECT_EQ(net.num_components(), 9u);
+  EXPECT_THROW((void)net.create_buffer(a, 0), std::invalid_argument);
+  EXPECT_EQ(net.num_nodes(), 5u);
 }
 
 }  // namespace

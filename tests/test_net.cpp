@@ -30,6 +30,7 @@
 #include "wavemig/net/client.hpp"
 #include "wavemig/net/protocol.hpp"
 #include "wavemig/net/socket.hpp"
+#include "wavemig/pipeline.hpp"
 #include "wavemig/tech_scenario.hpp"
 
 namespace wavemig {
@@ -338,6 +339,37 @@ TEST(wire_registry, inline_netlists_register_and_echo_their_fingerprint) {
   const auto unknown = client.run(make_run(0xDEAD'BEEFu, *net, waves, 3, words));
   EXPECT_EQ(unknown.status, net::wire_status::unknown_program);
   EXPECT_FALSE(unknown.message.empty());
+}
+
+TEST(wire_registry, register_frames_carry_buffer_runs) {
+  loopback_stack stack;
+  auto client = net::wire_client::connect(stack.server.port());
+
+  // A balanced netlist travels with its runs as BUF(<op>, <length>) and is
+  // served exactly like the in-process program.
+  const auto net = wave_pipeline(gen::ripple_adder_circuit(8)).net;
+  ASSERT_TRUE(has_buffer_runs(net));
+  const std::uint64_t fp = client.register_program(net);
+  std::istringstream text{mig_text(net)};  // the .mig text lists every PI first
+  EXPECT_EQ(fp, engine::network_fingerprint(io::read_mig(text)));
+
+  const std::size_t waves = 130;
+  const auto words = random_planes(net.num_pis(), waves, 77);
+  const auto resp = client.run(make_run(fp, net, waves, 3, words));
+  ASSERT_EQ(resp.status, net::wire_status::ok) << resp.message;
+  const auto local = engine::run_waves_packed(
+      engine::compiled_netlist{net},
+      engine::wave_batch::from_plane_words(words, net.num_pis(), waves), 3);
+  EXPECT_EQ(resp.result.words, local.words);
+  EXPECT_EQ(resp.result.latency_ticks, local.latency_ticks);
+
+  // A hostile run length is refused like any malformed netlist.
+  EXPECT_THROW((void)client.register_netlist(".inputs a\nn1 = BUF(a, 0)\n.output f = n1\n"),
+               net::wire_error);
+  EXPECT_THROW(
+      (void)client.register_netlist(".inputs a\nn1 = BUF(a, 4294967295)\n.output f = n1\n"),
+      net::wire_error);
+  EXPECT_EQ(stack.server.num_programs(), 1u);
 }
 
 // ----------------------------------------------- request-level refusals ---

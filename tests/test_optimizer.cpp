@@ -242,9 +242,9 @@ TEST(optimizer, opt_levels_are_bit_identical_across_all_execution_paths) {
           serving.submit(std::make_shared<const mig_network>(net), batch, phases).get();
       EXPECT_EQ(async.words, reference.words) << "async, level " << level;
 
-      // Scalar cycle-accurate path: the tick program is never optimized,
-      // but must still agree through the same compiled object.
-      const auto scalar = engine::run_waves(compiled, waves, phases);
+      // Scalar cycle-accurate path: the oracle lowers its own tick program
+      // from the network and schedule, never optimized, and must agree.
+      const auto scalar = engine::run_waves(balanced.net, balanced.schedule, waves, phases);
       EXPECT_EQ(scalar.outputs, packed.unpack()) << "scalar vs packed, level " << level;
     }
   }

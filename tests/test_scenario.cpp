@@ -368,7 +368,7 @@ TEST(fdm_metadata, lanes_compress_ticks_and_multiply_waves_in_flight) {
 
   // The cycle-accurate simulator must still inject and sample every wave —
   // the FDM tag compresses metadata, never the simulated tick span.
-  const auto scalar = engine::run_waves(fdm, waves, 3);
+  const auto scalar = engine::run_waves(prepared, compute_levels(prepared), waves, 3, 4);
   EXPECT_EQ(base.unpack(), scalar.outputs);
   EXPECT_EQ(scalar.waves_in_flight, lanes.waves_in_flight);
 }
