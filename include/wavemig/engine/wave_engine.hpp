@@ -202,9 +202,10 @@ struct packed_wave_result {
 /// Cycle-accurate wave simulation — the reference every other execution
 /// path is checked against, and the only one that models wave interference
 /// on unbalanced netlists. Each call lowers its own tick program from the
-/// network and its clock schedule: one op per unit component, a length-k
-/// buffer run scheduled at L expanded into k stages at L - k + 1 ... L (so a
-/// run behaves exactly like the unit-buffer chain it stands for). Ops are
+/// network and its clock schedule: one op per unit component. A network
+/// with buffer runs is simulated as its unit-buffer form
+/// (expand_buffer_runs, expand_schedule), so a run behaves exactly like the
+/// chain of unit buffers it stands for. Ops are
 /// pre-bucketed into per-clock-phase firing lists and, when every edge
 /// advances at least one level per tick, updated in place in decreasing
 /// level order instead of snapshotting the full state every tick.
@@ -213,7 +214,7 @@ struct packed_wave_result {
 ///
 /// Throws std::invalid_argument when `phases == 0`, the schedule does not
 /// match the network or a wave has the wrong width, and std::length_error
-/// when the expanded runs would not fit the 31-bit node index space.
+/// when the unit-buffer form would exceed max_expanded_nodes (levels.hpp).
 wave_run_result run_waves(const mig_network& net, const level_map& schedule,
                           const std::vector<std::vector<bool>>& waves, unsigned phases,
                           unsigned fdm_lanes = 1);

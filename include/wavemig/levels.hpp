@@ -52,7 +52,7 @@ std::uint32_t node_level(const mig_network& net, node_index n, const Levels& lev
           {level[fis[0].index()], level[fis[1].index()], level[fis[2].index()]});
       break;
     case node_kind::buffer:
-      length = net.buffer_length(n);
+      length = net.length(n);
       [[fallthrough]];
     case node_kind::fanout:
       deepest = level[fis[0].index()];
@@ -78,16 +78,30 @@ std::uint32_t max_exclusive_base_distance(const mig_network& net, const level_ma
   return net.num_buffer_nodes() != net.num_buffers();
 }
 
+/// Node count of the unit-buffer form of `net`: its nodes plus the inner
+/// stages of its buffer runs.
+[[nodiscard]] inline std::uint64_t expanded_num_nodes(const mig_network& net) {
+  return net.num_nodes() + (net.num_buffers() - net.num_buffer_nodes());
+}
+
+/// Largest unit-buffer form expand_buffer_runs and expand_schedule build:
+/// 2^26 nodes (1.3 GB of nodes). A run long enough to pass it (a `.mig`
+/// file may hold a run of two billion stages in one line) is refused before
+/// anything is allocated, rather than exhausting memory stage by stage.
+inline constexpr std::uint64_t max_expanded_nodes = std::uint64_t{1} << 26;
+
 /// The unit-buffer form of `net`: every buffer run of length k becomes k
 /// chained unit buffers in its place, every other node and output is copied
 /// in order. The result is the netlist the runs stand for, node for node:
-/// what the wave-pipelining passes emitted before runs existed.
+/// what the wave-pipelining passes emitted before runs existed. Throws
+/// std::length_error if it would exceed max_expanded_nodes.
 mig_network expand_buffer_runs(const mig_network& net);
 
 /// `schedule` of `net` carried over to `expand_buffer_runs(net)`: stage j
 /// (1-based) of a run scheduled at L sits at L - k + j; every other node
 /// keeps its level. Throws std::invalid_argument if the schedule does not
-/// match the network.
+/// match the network, std::length_error if the unit-buffer form would
+/// exceed max_expanded_nodes.
 level_map expand_schedule(const mig_network& net, const level_map& schedule);
 
 /// Fan-out structure of a network. For each driver node, lists every

@@ -157,8 +157,6 @@ public:
   [[nodiscard]] const std::string& pi_name(std::size_t position) const { return pi_names_[position]; }
   /// PI position of a primary-input node.
   [[nodiscard]] std::size_t pi_position(node_index n) const { return nodes_[n].aux; }
-  /// Run length of a buffer node.
-  [[nodiscard]] std::uint32_t buffer_length(node_index n) const { return nodes_[n].aux; }
   /// Levels a component spans: its run length for a buffer, 1 for a
   /// majority gate or fan-out gate.
   [[nodiscard]] std::uint32_t length(node_index n) const {

@@ -56,7 +56,7 @@ public:
           break;
         }
         case node_kind::buffer:
-          map[n] = new_net_.create_buffer(tap_for(n, 0, old_.fanins(n)[0]), old_.buffer_length(n));
+          map[n] = new_net_.create_buffer(tap_for(n, 0, old_.fanins(n)[0]), old_.length(n));
           break;
         case node_kind::fanout:
           map[n] = new_net_.create_fanout(tap_for(n, 0, old_.fanins(n)[0]));
@@ -127,16 +127,10 @@ private:
     }
   }
 
-  /// Whether driver `n` gets one private run per edge: always under the
-  /// naive strategy, and wherever one edge makes the shared tree a chain.
-  bool private_runs(edge_span edges) const {
-    return options_.strategy == buffer_strategy::naive || edges.size() == 1;
-  }
-
   /// Number of buffer nodes plan_driver hangs off driver `n`.
   std::uint64_t planned_nodes(node_index n) {
     const edge_span edges = fanouts_.edges[n];
-    if (private_runs(edges)) {
+    if (options_.strategy == buffer_strategy::naive) {
       return static_cast<std::uint64_t>(std::count_if(
           edges.begin(), edges.end(), [&](const auto& e) { return gap_of(n, e) != 0; }));
     }
@@ -151,7 +145,7 @@ private:
   /// is `s`) and records the tap signal of every consumer edge.
   void plan_driver(node_index n, signal s) {
     const edge_span edges = fanouts_.edges[n];
-    if (!private_runs(edges)) {
+    if (options_.strategy != buffer_strategy::naive) {
       plan_tree(n, s, edges);
       return;
     }

@@ -48,7 +48,7 @@ public:
           break;
         }
         case node_kind::buffer:
-          map[n] = new_net_.create_buffer(tap_for(n, 0, old_.fanins(n)[0]), old_.buffer_length(n));
+          map[n] = new_net_.create_buffer(tap_for(n, 0, old_.fanins(n)[0]), old_.length(n));
           break;
         case node_kind::fanout:
           map[n] = new_net_.create_fanout(tap_for(n, 0, old_.fanins(n)[0]));

@@ -113,7 +113,7 @@ loss_budget_result enforce_loss_budget(const mig_network& old,
       }
       case node_kind::buffer: {
         const std::size_t watermark = net.num_nodes();
-        map[n] = net.create_buffer(mapped(old.fanins(n)[0]), old.buffer_length(n));
+        map[n] = net.create_buffer(mapped(old.fanins(n)[0]), old.length(n));
         note(map[n], 0, watermark);
         return;
       }

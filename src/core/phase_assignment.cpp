@@ -69,7 +69,7 @@ void write_phase_report(const mig_network& net, const level_map& schedule,
     if (net.is_majority(n)) {
       ++majorities[lvl];
     } else if (net.is_buffer(n)) {
-      for (std::uint32_t j = 0; j < net.buffer_length(n) && j <= lvl; ++j) {
+      for (std::uint32_t j = 0; j < net.length(n) && j <= lvl; ++j) {
         ++buffers[lvl - j];  // one per stage of the run
       }
     } else {

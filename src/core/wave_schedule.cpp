@@ -27,7 +27,7 @@ wave_readiness check_wave_readiness(const mig_network& net, const level_map& sch
   net.foreach_node([&](node_index n) {
     // The edge into a run ends at its first stage, length - 1 levels above
     // the node's level; the run's inner edges span exactly one level.
-    const std::uint32_t inner = net.is_buffer(n) ? net.buffer_length(n) - 1 : 0;
+    const std::uint32_t inner = net.length(n) - 1;
     for (const signal f : net.fanins(n)) {
       if (net.is_constant(f.index())) {
         continue;

@@ -304,7 +304,7 @@ std::uint64_t network_fingerprint(const mig_network& net) {
     // A buffer run's length rides in the kind word, above the kind byte: a
     // length-1 buffer hashes as it always has, and two networks that differ
     // only in a run length differ here.
-    const std::uint64_t length = net.is_buffer(n) ? net.buffer_length(n) : 1;
+    const std::uint64_t length = net.length(n);
     mix(static_cast<std::uint64_t>(net.kind(n)) | (length - 1) << 8);
     if (net.is_pi(n)) {
       mix(net.pi_position(n));

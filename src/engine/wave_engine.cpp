@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -328,8 +327,7 @@ std::vector<std::vector<bool>> packed_wave_result::unpack() const {
 namespace {
 
 /// Component of the tick program. Fan-ins are `slot_ref`s into the state
-/// array: one slot per network node (slot == node index), then one per
-/// inner stage of every buffer run.
+/// array, one slot per network node (slot == node index).
 struct tick_op {
   std::uint32_t target;
   slot_ref a, b, c;     ///< copy ops use only `a`
@@ -337,50 +335,23 @@ struct tick_op {
   bool majority;
 };
 
-/// The tick program of `net` under `schedule`, one op per unit component:
-/// a length-k buffer run scheduled at L becomes k chained copy stages at
-/// L - k + 1 ... L (a stage that would sit below level 1 never fires), its
-/// inner stages in state slots past the nodes'. Returns the slot count.
-std::size_t lower_ticks(const mig_network& net, const level_map& schedule,
-                        std::vector<tick_op>& ops) {
-  // The expanded netlist must fit the 31-bit index space of a slot
-  // reference, like any network; checked before anything is allocated.
-  const std::uint64_t inner_stages = net.num_buffers() - net.num_buffer_nodes();
-  if (net.num_nodes() + inner_stages > (std::uint64_t{1} << 31)) {
-    throw std::length_error{"run_waves: the expanded buffer runs exceed the node index space"};
-  }
-  std::size_t num_slots = net.num_nodes();
+/// The tick program of a network of unit components under `schedule`: one
+/// op per component, at its scheduled level.
+std::vector<tick_op> lower_ticks(const mig_network& net, const level_map& schedule) {
+  std::vector<tick_op> ops;
   ops.reserve(net.num_components());
-  const auto ref = [](std::uint64_t slot, bool complemented) {
-    return static_cast<slot_ref>(slot << 1u) | static_cast<slot_ref>(complemented);
+  const auto ref = [](signal s) {
+    return static_cast<slot_ref>(s.index() << 1u) | static_cast<slot_ref>(s.is_complemented());
   };
-  net.foreach_node([&](node_index n) {
-    const std::uint32_t level = schedule[n];
-    switch (net.kind(n)) {
-      case node_kind::majority: {
-        const auto f = net.fanins(n);
-        ops.push_back({n, ref(f[0].index(), f[0].is_complemented()),
-                       ref(f[1].index(), f[1].is_complemented()),
-                       ref(f[2].index(), f[2].is_complemented()), level, true});
-        break;
-      }
-      case node_kind::buffer:
-      case node_kind::fanout: {
-        const signal in = net.fanins(n)[0];
-        slot_ref from = ref(in.index(), in.is_complemented());
-        for (std::uint32_t j = net.length(n); j-- > 0;) {
-          const std::uint64_t slot = j == 0 ? n : num_slots++;
-          ops.push_back({static_cast<std::uint32_t>(slot), from, 0, 0,
-                         level >= j ? level - j : 0, false});
-          from = ref(slot, false);
-        }
-        break;
-      }
-      default:
-        break;
+  net.foreach_component([&](node_index n) {
+    const auto f = net.fanins(n);
+    if (net.is_majority(n)) {
+      ops.push_back({n, ref(f[0]), ref(f[1]), ref(f[2]), schedule[n], true});
+    } else {
+      ops.push_back({n, ref(f[0]), 0, 0, schedule[n], false});
     }
   });
-  return num_slots;
+  return ops;
 }
 
 }  // namespace
@@ -395,6 +366,11 @@ wave_run_result run_waves(const mig_network& net, const level_map& schedule,
     if (wave.size() != net.num_pis()) {
       throw std::invalid_argument{"run_waves: each wave needs one value per primary input"};
     }
+  }
+  if (has_buffer_runs(net)) {
+    // A run is simulated as the chain of unit buffers it stands for.
+    const mig_network unit = expand_buffer_runs(net);
+    return run_waves(unit, expand_schedule(net, schedule), waves, phases, fdm_lanes);
   }
   // The clock metadata — depth, PO levels, edge spans — is the packed
   // paths' own (which also checks the schedule against the network).
@@ -423,8 +399,7 @@ wave_run_result run_waves(const mig_network& net, const level_map& schedule,
     last_tick = std::max(last_tick, final_wave * phases + (lvl > 0 ? lvl - 1 : 0));
   }
 
-  std::vector<tick_op> ops;
-  const std::size_t num_slots = lower_ticks(net, schedule, ops);
+  const std::vector<tick_op> ops = lower_ticks(net, schedule);
 
   // Per-clock-phase firing lists, resolved once instead of per tick. Ops in
   // a list are ordered by decreasing level so the in-place update below
@@ -483,7 +458,7 @@ wave_run_result run_waves(const mig_network& net, const level_map& schedule,
     sample_buckets[start % phases].push_back({p, start, net.po_signal(p)});
   }
 
-  std::vector<std::uint8_t> value(num_slots, 0);
+  std::vector<std::uint8_t> value(net.num_nodes(), 0);
   std::vector<std::uint8_t> snapshot;
 
   const auto read = [](const std::vector<std::uint8_t>& state, slot_ref ref) -> std::uint8_t {

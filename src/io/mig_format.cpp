@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "wavemig/io/text_util.hpp"
+#include "wavemig/levels.hpp"
 
 namespace wavemig::io {
 
@@ -47,8 +48,8 @@ void write_mig(const mig_network& net, std::ostream& os, const std::string& mode
       }
       case node_kind::buffer:
         os << node_name(net, n) << " = BUF(" << operand(net, net.fanins(n)[0]);
-        if (net.buffer_length(n) != 1) {
-          os << ", " << net.buffer_length(n);
+        if (net.length(n) != 1) {
+          os << ", " << net.length(n);
         }
         os << ")\n";
         break;
@@ -85,8 +86,7 @@ struct reader_state {
   /// 31-bit node index space. Every level is bounded by that count, so no
   /// level of an accepted netlist can overflow either.
   signal checked_run(signal s) const {
-    if (net.num_nodes() + (net.num_buffers() - net.num_buffer_nodes()) >
-        std::numeric_limits<std::int32_t>::max()) {
+    if (expanded_num_nodes(net) > std::numeric_limits<std::int32_t>::max()) {
       throw parse_error{line_no, "buffer runs exceed the node index space"};
     }
     return s;

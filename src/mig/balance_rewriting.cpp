@@ -193,7 +193,7 @@ mig_network rewrite_once(const mig_network& net, bool allow_area) {
         break;
       }
       case node_kind::buffer:
-        map[n] = result.create_buffer(mapped(net.fanins(n)[0]), net.buffer_length(n));
+        map[n] = result.create_buffer(mapped(net.fanins(n)[0]), net.length(n));
         break;
       case node_kind::fanout:
         map[n] = result.create_fanout(mapped(net.fanins(n)[0]));

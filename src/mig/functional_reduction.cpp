@@ -70,7 +70,7 @@ public:
           break;
         }
         case node_kind::buffer:
-          map[n] = new_net_.create_buffer(mapped(old_.fanins(n)[0]), old_.buffer_length(n));
+          map[n] = new_net_.create_buffer(mapped(old_.fanins(n)[0]), old_.length(n));
           ensure_trivial_cut(map[n].index());
           break;
         case node_kind::fanout:

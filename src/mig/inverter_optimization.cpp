@@ -6,11 +6,6 @@ namespace wavemig {
 
 namespace {
 
-/// Whether `n` is a buffer run of two or more stages, flipped as its last.
-bool is_long_run(const mig_network& net, node_index n) {
-  return net.is_buffer(n) && net.buffer_length(n) > 1;
-}
-
 bool edge_has_inverter(const mig_network& net, const std::vector<bool>& flip, signal edge,
                        node_index consumer_or_po, bool is_po) {
   const node_index driver = edge.index();
@@ -21,8 +16,9 @@ bool edge_has_inverter(const mig_network& net, const std::vector<bool>& flip, si
   if (flip[driver]) {
     present = !present;
   }
-  // The edge into a long run ends at its first stage, which never flips.
-  if (!is_po && flip[consumer_or_po] && !is_long_run(net, consumer_or_po)) {
+  // The edge into a long run (two or more stages, flipped as its last)
+  // ends at its first stage, which never flips.
+  if (!is_po && flip[consumer_or_po] && net.length(consumer_or_po) == 1) {
     present = !present;
   }
   return present;
@@ -38,7 +34,7 @@ std::size_t count_inverters(const mig_network& net, const std::vector<bool>& fli
         ++count;
       }
     }
-    if (is_long_run(net, n) && flip[n]) {
+    if (net.length(n) > 1 && flip[n]) {
       ++count;  // the inner edge into the run's flipped last stage
     }
   });
@@ -67,7 +63,7 @@ polarity_assignment optimize_inverters(const mig_network& net) {
   auto gain = [&](node_index n) -> long {
     long present = 0;
     long absent = 0;
-    if (is_long_run(net, n)) {
+    if (net.length(n) > 1) {
       (result.flip[n] ? present : absent) += 1;
     } else {
       for (const signal f : net.fanins(n)) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 namespace wavemig {
 
@@ -32,9 +33,23 @@ std::uint32_t max_exclusive_base_distance(const mig_network& net, const level_ma
   return own < length ? 0 : own - length;
 }
 
+namespace {
+
+/// Throws std::length_error unless the unit-buffer form of `net` stays
+/// within max_expanded_nodes.
+void check_expansion(const mig_network& net, const char* what) {
+  if (expanded_num_nodes(net) > max_expanded_nodes) {
+    throw std::length_error{std::string{what} +
+                            ": the unit-buffer form of the buffer runs is too large"};
+  }
+}
+
+}  // namespace
+
 mig_network expand_buffer_runs(const mig_network& net) {
+  check_expansion(net, "expand_buffer_runs");
   mig_network out;
-  out.reserve(net.num_nodes() + (net.num_buffers() - net.num_buffer_nodes()));
+  out.reserve(expanded_num_nodes(net));
   std::vector<signal> map(net.num_nodes(), constant0);
   const auto mapped = [&](signal s) { return map[s.index()].complement_if(s.is_complemented()); };
   net.foreach_node([&](node_index n) {
@@ -51,7 +66,7 @@ mig_network expand_buffer_runs(const mig_network& net) {
       }
       case node_kind::buffer: {
         signal s = mapped(net.fanins(n)[0]);
-        for (std::uint32_t j = 0; j < net.buffer_length(n); ++j) {
+        for (std::uint32_t j = 0; j < net.length(n); ++j) {
           s = out.create_buffer(s);
         }
         map[n] = s;
@@ -72,12 +87,13 @@ level_map expand_schedule(const mig_network& net, const level_map& schedule) {
   if (schedule.level.size() != net.num_nodes()) {
     throw std::invalid_argument{"expand_schedule: schedule does not match the network"};
   }
+  check_expansion(net, "expand_schedule");
   level_map out;
   out.depth = schedule.depth;
-  out.level.reserve(net.num_nodes() + (net.num_buffers() - net.num_buffer_nodes()));
+  out.level.reserve(expanded_num_nodes(net));
   net.foreach_node([&](node_index n) {
     const std::uint32_t level = schedule[n];
-    for (std::uint32_t j = net.is_buffer(n) ? net.buffer_length(n) : 1; j-- > 1;) {
+    for (std::uint32_t j = net.length(n); j-- > 1;) {
       out.level.push_back(level >= j ? level - j : 0);
     }
     out.level.push_back(level);
@@ -138,10 +154,11 @@ std::size_t max_fanout_degree(const mig_network& net) {
   return std::max<std::size_t>(inner, *std::max_element(degree.begin(), degree.end()));
 }
 
-namespace {
+network_stats compute_stats(const mig_network& net) {
+  return compute_stats(net, compute_levels(net));
+}
 
-/// The count fields of the statistics (everything but depth and fan-out).
-network_stats counts_of(const mig_network& net) {
+network_stats compute_stats(const mig_network& net, const level_map& levels) {
   network_stats s;
   s.pis = net.num_pis();
   s.pos = net.num_pos();
@@ -149,37 +166,6 @@ network_stats counts_of(const mig_network& net) {
   s.buffers = net.num_buffers();
   s.fanout_gates = net.num_fanout_gates();
   s.components = net.num_components();
-  return s;
-}
-
-}  // namespace
-
-network_stats compute_stats(const mig_network& net) {
-  // One walk over the nodes both levels them and counts their fan-out
-  // degrees: compute_levels and max_fanout_degree, fused.
-  std::vector<std::uint32_t> level(net.num_nodes(), 0);
-  std::vector<std::uint32_t> degree(net.num_nodes(), 0);
-  net.foreach_node([&](node_index n) {
-    level[n] = node_level(net, n, level);
-    for (const signal f : net.fanins(n)) {
-      ++degree[f.index()];
-    }
-  });
-  network_stats s = counts_of(net);
-  for (const auto& po : net.pos()) {
-    ++degree[po.driver.index()];
-    if (!net.is_constant(po.driver.index())) {
-      s.depth = std::max(s.depth, level[po.driver.index()]);
-    }
-  }
-  degree[0] = 0;  // constants are gate-internal biases, not routed signals
-  const std::size_t inner = has_buffer_runs(net) ? 1 : 0;  // a run's inner stages
-  s.max_fanout = std::max<std::size_t>(inner, *std::max_element(degree.begin(), degree.end()));
-  return s;
-}
-
-network_stats compute_stats(const mig_network& net, const level_map& levels) {
-  network_stats s = counts_of(net);
   s.depth = levels.depth;
   s.max_fanout = max_fanout_degree(net);
   return s;

@@ -38,7 +38,7 @@ timing_report analyze_stage_timing(const mig_network& net, const technology& tec
     // A buffer run of two or more stages flips as its last stage (see
     // inverter_optimization.hpp): its first stage sees the in-edge without
     // its own flip, its last stage an inverter iff the run is flipped.
-    const bool long_run = net.is_buffer(n) && net.buffer_length(n) > 1;
+    const bool long_run = net.length(n) > 1;
     bool has_inverter = long_run && flip[n];
     for (const signal f : net.fanins(n)) {
       if (net.is_constant(f.index())) {

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -23,6 +24,8 @@
 #include "wavemig/gen/random_mig.hpp"
 #include "wavemig/gen/suite.hpp"
 #include "wavemig/inverter_optimization.hpp"
+#include "wavemig/io/blif.hpp"
+#include "wavemig/io/mig_format.hpp"
 #include "wavemig/levels.hpp"
 #include "wavemig/loss_budget.hpp"
 #include "wavemig/phase_assignment.hpp"
@@ -94,7 +97,7 @@ TEST(buffer_runs, a_run_counts_and_levels_as_its_chain) {
   net.create_po(tail);
   EXPECT_THROW((void)net.create_buffer(a, 0), std::invalid_argument);
 
-  EXPECT_EQ(net.buffer_length(run.index()), 5u);
+  EXPECT_EQ(net.length(run.index()), 5u);
   EXPECT_EQ(net.num_buffers(), 6u);
   EXPECT_EQ(net.num_buffer_nodes(), 2u);
   EXPECT_EQ(net.num_components(), 6u);
@@ -227,10 +230,10 @@ TEST(buffer_runs, a_run_ends_at_every_tap) {
   const auto out = insert_buffers(net).net;
   const auto first = buffers_fed_by(out, pi_node(out, net, a));
   ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(out.buffer_length(first[0]), 2u);
+  EXPECT_EQ(out.length(first[0]), 2u);
   const auto second = buffers_fed_by(out, first[0]);
   ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(out.buffer_length(second[0]), 3u);
+  EXPECT_EQ(out.length(second[0]), 3u);
   const auto fanouts = compute_fanouts(out);
   EXPECT_EQ(fanouts.degree(first[0]), 2u);  // the near gate and the second run
   EXPECT_EQ(fanouts.degree(second[0]), 1u);
@@ -249,17 +252,17 @@ TEST(buffer_runs, repeaters_and_fogs_stay_separate_nodes) {
   const auto out = insert_buffers(net).net;
   const auto kept = buffers_fed_by(out, pi_node(out, net, a));
   ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(out.buffer_length(kept[0]), 1u);
+  EXPECT_EQ(out.length(kept[0]), 1u);
   const auto behind_repeater = buffers_fed_by(out, kept[0]);
   ASSERT_EQ(behind_repeater.size(), 1u);
-  EXPECT_EQ(out.buffer_length(behind_repeater[0]), 3u);
+  EXPECT_EQ(out.length(behind_repeater[0]), 3u);
   node_index fog_node = 0;
   out.foreach_node([&](node_index n) { fog_node = out.is_fanout_gate(n) ? n : fog_node; });
   ASSERT_NE(fog_node, 0u);
   EXPECT_TRUE(out.is_pi(out.fanins(fog_node)[0].index()));
   const auto behind_fog = buffers_fed_by(out, fog_node);
   ASSERT_EQ(behind_fog.size(), 1u);
-  EXPECT_EQ(out.buffer_length(behind_fog[0]), 3u);
+  EXPECT_EQ(out.length(behind_fog[0]), 3u);
   EXPECT_TRUE(check_wave_readiness(out).ready);
 }
 
@@ -279,12 +282,12 @@ TEST(buffer_runs, a_run_ends_at_a_branching_tree_vertex) {
 
   const auto trunk = buffers_fed_by(out, pi_node(out, net, a));
   ASSERT_EQ(trunk.size(), 1u);
-  EXPECT_EQ(out.buffer_length(trunk[0]), 3u);
+  EXPECT_EQ(out.length(trunk[0]), 3u);
   const auto branches = buffers_fed_by(out, trunk[0]);
   ASSERT_EQ(branches.size(), 2u);
   const auto fanouts = compute_fanouts(out);
   for (const node_index b : branches) {
-    EXPECT_EQ(out.buffer_length(b), 1u);
+    EXPECT_EQ(out.length(b), 1u);
     EXPECT_LE(fanouts.degree(b), 2u);
   }
   EXPECT_EQ(fanouts.degree(branches[0]) + fanouts.degree(branches[1]), 3u);
@@ -394,6 +397,24 @@ TEST(buffer_runs, oracle_models_interference_through_an_unbalanced_run) {
   EXPECT_EQ(runs.outputs, run_waves(unit, waves, 2).outputs);
   EXPECT_THROW((void)run_waves_packed(net, waves, 2), std::invalid_argument);
   EXPECT_EQ(engine::compiled_netlist{net}.max_edge_span(), 4u);  // b -> gate
+}
+
+TEST(buffer_runs, nothing_expands_a_hostile_run) {
+  // The longest run a .mig file may hold: its unit-buffer form just fits
+  // the 31-bit node index space (40 GB of nodes). The oracle and the
+  // writers refuse it before allocating; the level passes never expand it.
+  std::stringstream text{".inputs a\nn1 = BUF(a, 2147483645)\n.output f = n1\n"};
+  const auto net = io::read_mig(text);
+  EXPECT_EQ(expanded_num_nodes(net), 2147483647u);
+  const auto levels = compute_levels(net);
+  EXPECT_EQ(levels.depth, 2147483645u);
+  EXPECT_THROW((void)engine::run_waves(net, levels, {{true}}, 3), std::length_error);
+  EXPECT_THROW((void)run_waves(net, {{true}}, 3), std::length_error);
+  EXPECT_THROW((void)expand_buffer_runs(net), std::length_error);
+  EXPECT_THROW((void)expand_schedule(net, levels), std::length_error);
+  std::ostringstream blif;
+  EXPECT_THROW(io::write_blif(net, blif), std::length_error);
+  EXPECT_TRUE(blif.str().empty());
 }
 
 // --------------------------------------------------------- cache keys ---
