@@ -158,38 +158,25 @@ double measure_wps(std::size_t waves_per_pass, Fn&& fn) {
   return static_cast<double>(passes * waves_per_pass) / elapsed;
 }
 
-/// Steady-state kernel comparison on one netlist: the single-word (W = 1)
-/// kernel, driven by one-chunk plane-major calls — the engine's original
-/// hot path — against whole-batch plane-major calls, whose blocks run at
-/// the full kernel width, at optimizer levels 0 and 2. Each W = 1 call
-/// reads one chunk's PI words from a contiguous row (both strides 1), the
-/// access pattern of the original single-word entry, so the baseline pays
-/// no strided plane reads. All variants are verified bit-identical before
-/// anything is reported.
+/// Steady-state kernel comparison on one compiled program: the single-word
+/// (W = 1) kernel, driven by one-chunk plane-major calls — the engine's
+/// original hot path — against whole-batch plane-major calls, whose blocks
+/// run at the full kernel width. Each W = 1 call reads one chunk's PI words
+/// from a contiguous row (both strides 1), the access pattern of the
+/// original single-word entry, so the baseline pays no strided plane reads.
+/// Both variants are verified bit-identical before anything is reported.
 struct kernel_sweep_result {
   double w1_wps{0.0};
-  double plane_wps{0.0};        // whole-batch plane-major, opt 0
-  double plane_opt2_wps{0.0};   // whole-batch plane-major, opt 2
-  std::size_t ops[3]{};    // comb ops at opt level 0/1/2
-  std::size_t slots[3]{};  // comb slots at opt level 0/1/2
+  double plane_wps{0.0};  // whole-batch plane-major
 };
 
 kernel_sweep_result kernel_sweep(const mig_network& balanced_net, const level_map& schedule,
                                  const engine::wave_batch& batch) {
   kernel_sweep_result r;
-  const engine::compiled_netlist programs[3] = {
-      engine::compiled_netlist{balanced_net, schedule, {.opt_level = 0}},
-      engine::compiled_netlist{balanced_net, schedule, {.opt_level = 1}},
-      engine::compiled_netlist{balanced_net, schedule, {.opt_level = 2}}};
-  for (int level = 0; level < 3; ++level) {
-    r.ops[level] = programs[level].num_comb_ops();
-    r.slots[level] = programs[level].comb_slot_count();
-  }
-  const auto& opt0 = programs[0];
-  const auto& opt2 = programs[2];
+  const engine::compiled_netlist program{balanced_net, schedule};
   const std::size_t num_chunks = batch.num_chunks();
-  const std::size_t num_pis = opt0.num_pis();
-  const std::size_t num_pos = opt0.num_pos();
+  const std::size_t num_pis = program.num_pis();
+  const std::size_t num_pos = program.num_pos();
 
   std::vector<std::uint64_t> rows(num_chunks * num_pis);  // chunk c's PI words at c * num_pis
   for (std::size_t i = 0; i < num_pis; ++i) {
@@ -201,43 +188,36 @@ kernel_sweep_result kernel_sweep(const mig_network& balanced_net, const level_ma
   std::vector<std::uint64_t> plane_out(num_chunks * num_pos);
   std::vector<std::uint64_t> scratch;
 
-  const auto single_word_pass = [&](const engine::compiled_netlist& net) {
+  const auto single_word_pass = [&] {
     for (std::size_t c = 0; c < num_chunks; ++c) {
-      engine::eval_packed_planes(net, {rows.data() + c * num_pis, 1, num_pis, 1},
+      engine::eval_packed_planes(program, {rows.data() + c * num_pis, 1, num_pis, 1},
                                  {out.data() + c * num_pos, 1, num_pos, 1}, scratch);
     }
   };
-  const auto plane_pass = [&](const engine::compiled_netlist& net) {
-    engine::eval_packed_planes(net, batch.view(),
+  const auto plane_pass = [&] {
+    engine::eval_packed_planes(program, batch.view(),
                                {plane_out.data(), num_chunks, num_pos, num_chunks},
                                scratch);
   };
 
-  single_word_pass(opt0);
-  const auto reference = out;
-  for (const auto& net : programs) {
-    std::fill(out.begin(), out.end(), 0);
-    single_word_pass(net);
-    std::fill(plane_out.begin(), plane_out.end(), 0);
-    plane_pass(net);
-    bool agree = out == reference;
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      for (std::size_t p = 0; p < num_pos; ++p) {
-        agree = agree && plane_out[p * num_chunks + c] == reference[c * num_pos + p];
-      }
-    }
-    if (!agree) {
-      std::fprintf(stderr, "FATAL: kernel variants disagree — bench is meaningless\n");
-      std::exit(2);
+  single_word_pass();
+  plane_pass();
+  bool agree = true;
+  for (std::size_t c = 0; c < num_chunks; ++c) {
+    for (std::size_t p = 0; p < num_pos; ++p) {
+      agree = agree && plane_out[p * num_chunks + c] == out[c * num_pos + p];
     }
   }
+  if (!agree) {
+    std::fprintf(stderr, "FATAL: kernel variants disagree — bench is meaningless\n");
+    std::exit(2);
+  }
 
-  r.w1_wps = measure_wps(batch.num_waves(), [&] { single_word_pass(opt0); });
-  r.plane_wps = measure_wps(batch.num_waves(), [&] { plane_pass(opt0); });
-  // The opt-2 rate feeds the >= 2x-over-W=1 gate; best-of-two windows so a
+  r.w1_wps = measure_wps(batch.num_waves(), single_word_pass);
+  // The plane rate feeds the >= 2x-over-W=1 gate; best-of-two windows so a
   // single noisy window on a shared runner cannot fail the ratio.
-  r.plane_opt2_wps = std::max(measure_wps(batch.num_waves(), [&] { plane_pass(opt2); }),
-                              measure_wps(batch.num_waves(), [&] { plane_pass(opt2); }));
+  r.plane_wps = std::max(measure_wps(batch.num_waves(), plane_pass),
+                         measure_wps(batch.num_waves(), plane_pass));
   return r;
 }
 
@@ -311,11 +291,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // --- kernel width x optimizer steady-state sweep --------------------------
+  // --- kernel width steady-state sweep --------------------------------------
   // On each netlist, the single-word (W = 1) kernel — the engine's former
-  // hot path — against the multi-word kernel (AVX2 where the CPU has it) at
-  // optimizer levels 0 and 2. Two shapes: the balanced adder (deep, few
-  // POs) and a large random MIG (wide, optimizer-friendly).
+  // hot path — against the multi-word kernel (AVX2 where the CPU has it).
+  // Two shapes: the balanced adder (deep, few POs) and a large random MIG
+  // (wide).
   const std::size_t kernel_waves = std::max<std::size_t>(num_waves, 8192);
   const auto kernel_batch = [&](const mig_network& circuit, std::uint64_t seed) {
     std::mt19937_64 batch_rng{seed};
@@ -346,7 +326,7 @@ int main(int argc, char** argv) {
   for (auto& k : kernel_cases) {
     k.sweep = kernel_sweep(k.net, k.schedule, kernel_batch(k.net, 4242));
     best_kernel_speedup =
-        std::max(best_kernel_speedup, k.sweep.plane_opt2_wps / k.sweep.w1_wps);
+        std::max(best_kernel_speedup, k.sweep.plane_wps / k.sweep.w1_wps);
   }
 
   // --- parallel sharded execution (thread-scaling sweep) --------------------
@@ -652,37 +632,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Default-scenario no-regression gate: the SWD scenario prepares the
-  // netlist exactly as the historical default flow does, so the SWD-tagged
-  // program and the untagged program compiled from the same prepared
-  // netlist are identical modulo the cache tag. Tagging must therefore be
-  // free at run time — best-of-two windows per side, ratio gated at 0.8 so
-  // timer noise on a shared runner cannot fail an identical-program pair.
-  double scenario_gate_ratio = 0.0;
-  bool scenario_gate_ok = false;
-  {
-    const auto prepared = wave_pipeline(raw, {});
-    const engine::compiled_netlist untagged{prepared.net};
-    engine::compile_options tagged_options;
-    tagged_options.scenario_fingerprint = tech_scenario::swd().fingerprint();
-    const engine::compiled_netlist tagged{prepared.net, tagged_options};
-    const auto untagged_run = engine::run_waves_packed(untagged, sweep_batch, phases);
-    const auto tagged_run = engine::run_waves_packed(tagged, sweep_batch, phases);
-    if (untagged_run.words != tagged_run.words ||
-        untagged_run.words != sweep_reference.words) {
-      std::fprintf(stderr, "FATAL: scenario-tagged program diverges from untagged\n");
-      return 2;
-    }
-    const auto best_of_two = [&](const engine::compiled_netlist& program) {
-      const auto pass = [&] { (void)engine::run_waves_packed(program, sweep_batch, phases); };
-      return std::max(measure_wps(sweep_waves, pass), measure_wps(sweep_waves, pass));
-    };
-    const double untagged_wps = best_of_two(untagged);
-    const double tagged_wps = best_of_two(tagged);
-    scenario_gate_ratio = tagged_wps / untagged_wps;
-    scenario_gate_ok = scenario_gate_ratio >= 0.8;
-  }
-
   // The serving/scaling gates are decoration on a 1-core host (nothing can
   // scale); they are enforced wherever the hardware can actually express
   // the property — the multi-core CI runner.
@@ -714,18 +663,8 @@ int main(int argc, char** argv) {
       bench::json_record("perf_wave_engine", prefix + "_w1_waves_per_s", k.sweep.w1_wps);
       bench::json_record("perf_wave_engine", prefix + "_plane_waves_per_s",
                          k.sweep.plane_wps);
-      bench::json_record("perf_wave_engine", prefix + "_plane_opt2_waves_per_s",
-                         k.sweep.plane_opt2_wps);
       bench::json_record("perf_wave_engine", prefix + "_speedup_vs_w1",
-                         k.sweep.plane_opt2_wps / k.sweep.w1_wps);
-      for (int level = 0; level < 3; ++level) {
-        bench::json_record("perf_wave_engine",
-                           prefix + "_comb_ops_opt" + std::to_string(level),
-                           static_cast<double>(k.sweep.ops[level]));
-        bench::json_record("perf_wave_engine",
-                           prefix + "_comb_slots_opt" + std::to_string(level),
-                           static_cast<double>(k.sweep.slots[level]));
-      }
+                         k.sweep.plane_wps / k.sweep.w1_wps);
     }
     bench::json_record("perf_wave_engine", "kernel_best_speedup_vs_w1",
                        best_kernel_speedup);
@@ -774,10 +713,6 @@ int main(int argc, char** argv) {
       bench::json_record("perf_wave_engine", prefix + "_fdm_lanes",
                          static_cast<double>(rec.fdm_lanes));
     }
-    bench::json_record("perf_wave_engine", "scenario_default_gate_ratio",
-                       scenario_gate_ratio);
-    bench::json_record("perf_wave_engine", "scenario_gate_ok",
-                       scenario_gate_ok ? 1.0 : 0.0);
     bench::json_record("perf_wave_engine", "serving_scaling_gates_enforced",
                        hw_threads > 1 ? 1.0 : 0.0);
     bench::json_record("perf_wave_engine", "serving_scaling_gates_ok",
@@ -795,20 +730,14 @@ int main(int argc, char** argv) {
                 bench::fmt(steady_s, 4).c_str(), bench::fmt(steady_wps).c_str(),
                 bench::fmt(steady_speedup).c_str());
 
-    std::printf("\nkernel width x optimizer steady-state sweep — %zu waves\n", kernel_waves);
-    std::printf("%-10s %14s %14s %14s %10s %18s\n", "netlist", "W=1 waves/s",
-                "opt 0", "opt 2", "speedup", "ops 0/1/2");
-    bench::print_rule('-', 92);
+    std::printf("\nkernel width steady-state sweep — %zu waves\n", kernel_waves);
+    std::printf("%-10s %14s %14s %10s\n", "netlist", "W=1 waves/s", "plane waves/s",
+                "speedup");
+    bench::print_rule('-', 52);
     for (const auto& k : kernel_cases) {
-      char ops[64];
-      std::snprintf(ops, sizeof(ops), "%zu/%zu/%zu", k.sweep.ops[0], k.sweep.ops[1],
-                    k.sweep.ops[2]);
-      std::printf("%-10s %14s %14s %14s %9sx %18s\n", k.name,
-                  bench::fmt(k.sweep.w1_wps).c_str(), bench::fmt(k.sweep.plane_wps).c_str(),
-                  bench::fmt(k.sweep.plane_opt2_wps).c_str(),
-                  bench::fmt(k.sweep.plane_opt2_wps / k.sweep.w1_wps).c_str(), ops);
-      std::printf("%-10s %46s slots 0/2: %zu -> %zu\n", "", "", k.sweep.slots[0],
-                  k.sweep.slots[2]);
+      std::printf("%-10s %14s %14s %9sx\n", k.name, bench::fmt(k.sweep.w1_wps).c_str(),
+                  bench::fmt(k.sweep.plane_wps).c_str(),
+                  bench::fmt(k.sweep.plane_wps / k.sweep.w1_wps).c_str());
     }
 
     std::printf("\nparallel thread-scaling sweep — %zu waves (%zu chunks), %u hardware "
@@ -864,9 +793,6 @@ int main(int argc, char** argv) {
     std::printf("acceptance: plane-major kernel >= 2x over single-word kernel: %s (%sx)\n",
                 best_kernel_speedup >= 2.0 ? "PASS" : "FAIL",
                 bench::fmt(best_kernel_speedup).c_str());
-    std::printf("acceptance: scenario tagging costs nothing on the default scenario "
-                "(>= 0.8): %s (%s)\n",
-                scenario_gate_ok ? "PASS" : "FAIL", bench::fmt(scenario_gate_ratio).c_str());
     if (hw_threads > 1) {
       std::printf("acceptance: serving_async_vs_parallel >= 0.85: %s (%s)\n",
                   serving_vs_parallel >= 0.85 ? "PASS" : "FAIL",
@@ -879,8 +805,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  return packed_speedup >= 10.0 && best_kernel_speedup >= 2.0 && scenario_gate_ok &&
-                 multicore_ok
+  return packed_speedup >= 10.0 && best_kernel_speedup >= 2.0 && multicore_ok
              ? 0
              : 1;
 }

@@ -28,9 +28,14 @@
 //   --phase-report        print the clock-phase assignment
 //   --simulate N          stream N random waves and check them
 //   --quiet               suppress the summary
+//
+// Exit status: 0 on success, 1 on a usage error or an error raised while
+// reading or processing the netlist (printed as "flow_tool: <message>"),
+// 2 when the result is not equivalent or not wave-ready.
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <random>
 #include <string>
 #include <vector>
@@ -170,10 +175,7 @@ void write_output(const mig_network& net, const std::string& path) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const arguments args = parse(argc, argv);
+int run(const arguments& args) {
   if (args.list) {
     for (const auto& name : gen::benchmark_names()) {
       std::printf("%s\n", name.c_str());
@@ -277,4 +279,16 @@ int main(int argc, char** argv) {
   }
 
   return equivalent && (readiness.ready || !args.buffers) ? 0 : 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const arguments args = parse(argc, argv);
+  try {
+    return run(args);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "flow_tool: %s\n", e.what());
+    return 1;
+  }
 }

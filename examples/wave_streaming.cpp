@@ -91,13 +91,12 @@ int main() {
   std::printf("\nnon-pipelined execution would need %llu ticks for the same work\n",
               sequential_ticks);
 
-  // Now the engine path: compile the balanced netlist once (optimizer on —
-  // outputs are bit-identical at every level) and stream a far larger job
-  // mix through wave_stream — 64 waves per 64-bit word, multi-chunk blocks
-  // evaluated as they fill, straight into result planes that double as the
-  // stream grows.
+  // Now the engine path: compile the balanced netlist once and stream a
+  // far larger job mix through wave_stream — 64 waves per 64-bit word,
+  // multi-chunk blocks evaluated as they fill, straight into result planes
+  // that double as the stream grows.
   const std::size_t jobs = 100000;
-  const engine::compiled_netlist compiled{balanced, {.opt_level = 2}};
+  const engine::compiled_netlist compiled{balanced};
   engine::wave_stream stream{compiled, 3};
 
   std::mt19937_64 job_rng{42};

@@ -1,9 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "wavemig/engine/optimizer.hpp"
 #include "wavemig/levels.hpp"
 #include "wavemig/mig.hpp"
 
@@ -45,19 +45,24 @@ public:
     slot_ref a, b, c;
   };
 
-  /// Compiles against the network's ASAP levels.
-  explicit compiled_netlist(const mig_network& net, compile_options options = {});
+  /// Compiles against the network's ASAP levels. `fdm_lanes` is the FDM
+  /// lane count of the technology scenario the network was prepared for
+  /// (tech_scenario::fdm_lanes; 1 = no multiplexing). It affects the clock
+  /// metadata only: with n lanes a batch of w waves occupies ceil(w/n)
+  /// physical slots and n waves ride each phase, so `ticks` shrinks and
+  /// `waves_in_flight` grows n-fold while the computed outputs stay
+  /// bit-identical.
+  explicit compiled_netlist(const mig_network& net, unsigned fdm_lanes = 1);
 
   /// Compiles against an explicit clock schedule (required for
   /// tolerance-balanced netlists; see buffer_insertion_options::tolerance).
   /// Throws std::invalid_argument if the schedule does not match the network.
-  compiled_netlist(const mig_network& net, const level_map& schedule,
-                   compile_options options = {});
+  compiled_netlist(const mig_network& net, const level_map& schedule, unsigned fdm_lanes = 1);
 
   /// Compiles only the combinational program — no level computation and no
   /// clock metadata (wave_coherent is always false). The cheap lowering for
   /// purely combinational consumers (simulate_words & friends).
-  static compiled_netlist comb_only(const mig_network& net, compile_options options = {});
+  static compiled_netlist comb_only(const mig_network& net);
 
   /// @name Interface shape
   /// @{
@@ -68,21 +73,15 @@ public:
   [[nodiscard]] std::size_t memory_bytes() const;
   [[nodiscard]] std::size_t num_pis() const { return num_pis_; }
   [[nodiscard]] std::size_t num_pos() const { return num_pos_; }
-  /// Majority operations in the combinational program (after optimization).
+  /// Majority operations in the combinational program: one per majority
+  /// node of the network.
   [[nodiscard]] std::size_t num_comb_ops() const { return comb_ops_.size(); }
-  /// The combinational program itself, in execution order. Exposed so
-  /// tests can audit op order and operand liveness.
-  [[nodiscard]] const std::vector<maj_op>& comb_ops() const { return comb_ops_; }
   /// Value slots of the combinational program: 1 (constant) + PIs + gate
   /// slots. This is the scratch working set of the packed kernel, per word
-  /// of kernel width; slot recycling (opt level >= 2) shrinks it to peak
-  /// liveness.
+  /// of kernel width.
   [[nodiscard]] std::size_t comb_slot_count() const { return comb_slot_count_; }
-  /// The options this program was compiled with.
-  [[nodiscard]] compile_options options() const { return options_; }
-  /// What the optimizer did (all zeros at opt level 0, where `*_before`
-  /// still describes the raw lowering).
-  [[nodiscard]] const optimizer_stats& opt_stats() const { return opt_stats_; }
+  /// FDM lanes the clock metadata is scaled by (see the constructor).
+  [[nodiscard]] unsigned fdm_lanes() const { return fdm_lanes_; }
   /// Scheduled depth (max level over all primary-output drivers).
   [[nodiscard]] std::uint32_t depth() const { return depth_; }
   /// @}
@@ -199,13 +198,7 @@ private:
   /// (comb_only mode).
   void lower(const mig_network& net, const level_map* schedule);
 
-  /// Runs the post-lowering optimizer over the combinational program
-  /// (optimizer.cpp), reading options_.opt_level. Fills opt_stats_; a
-  /// no-op at level 0.
-  void optimize();
-
-  compile_options options_{};
-  optimizer_stats opt_stats_{};
+  unsigned fdm_lanes_{1};
   std::uint32_t num_pis_{0};
   std::uint32_t num_pos_{0};
   std::uint32_t depth_{0};

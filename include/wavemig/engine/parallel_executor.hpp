@@ -203,10 +203,7 @@ struct cache_limits {
 /// `entries` / `bytes` / `comb_ops` / `comb_slots` describe what is
 /// resident right now (`bytes` never exceeds `cache_limits::max_bytes` when
 /// that bound is set). The op/slot totals are summed over the resident
-/// compiled programs — with the optimizer on (compile_options::opt_level),
-/// they are what the session actually executes and keeps hot, not what the
-/// raw networks dictate. `comb_peak_live` sums the measured peak liveness
-/// (optimizer_stats::peak_live_slots) of the resident programs.
+/// compiled programs: what the session executes and keeps hot.
 struct session_stats {
   std::uint64_t hits{0};
   std::uint64_t misses{0};
@@ -215,7 +212,6 @@ struct session_stats {
   std::size_t bytes{0};
   std::size_t comb_ops{0};
   std::size_t comb_slots{0};
-  std::size_t comb_peak_live{0};
 };
 
 /// Serving-style compiled-netlist cache: the first batch against a network
@@ -242,12 +238,8 @@ struct session_stats {
 /// that stays valid if lowering ever becomes phase-specialized.
 class batch_session {
 public:
-  /// `compile` controls the post-lowering optimizer every cached program is
-  /// built with (see engine/optimizer.hpp); results are bit-identical at
-  /// every level, so serving sessions can default to the highest one.
   explicit batch_session(parallel_executor& executor,
-                         buffer_insertion_options options = {}, cache_limits limits = {},
-                         compile_options compile = {});
+                         buffer_insertion_options options = {}, cache_limits limits = {});
 
   /// Balances + compiles `net` on first sight (cache miss), then evaluates
   /// the batch on the executor. The returned words are bit-identical to
@@ -267,11 +259,10 @@ public:
   /// `scenario` null balances only. Otherwise, on a miss the network is
   /// prepared by the full scenario pipeline (wave_pipeline with this
   /// session's strategy/schedule and the scenario's fan-out limit and loss
-  /// budget) and lowered with compile_options carrying the scenario
-  /// fingerprint and FDM lane count. The cache key gains the scenario
-  /// fingerprint, so the same netlist compiled under two scenarios — or
-  /// with and without one — occupies distinct entries serving distinct
-  /// programs.
+  /// budget) and lowered with the scenario's FDM lane count. The cache key
+  /// gains the scenario fingerprint, so the same netlist compiled under two
+  /// scenarios — or with and without one — occupies distinct entries
+  /// serving distinct programs.
   [[nodiscard]] std::shared_ptr<const compiled_netlist> compile(
       const mig_network& net, unsigned phases, const tech_scenario* scenario = nullptr);
 
@@ -283,17 +274,11 @@ public:
   /// `network_fingerprint(net)`; passing anything else silently serves the
   /// wrong program.
   ///
-  /// `scenario` as in the overload above. `opts` null builds with this
-  /// session's compile options; otherwise the program is built with `*opts`
-  /// (the scenario tag and FDM lane count applied on top). Every cache key
-  /// carries `options_fingerprint` of the effective options, so the same
-  /// netlist compiled at two opt levels occupies two distinct entries and
-  /// can never cross-serve.
+  /// `scenario` as in the overload above.
   [[nodiscard]] std::shared_ptr<const compiled_netlist> compile(const mig_network& net,
                                                                 unsigned phases,
                                                                 std::uint64_t fingerprint,
-                                                                const tech_scenario* scenario,
-                                                                const compile_options* opts);
+                                                                const tech_scenario* scenario);
 
   [[nodiscard]] session_stats stats() const;
 
@@ -304,13 +289,9 @@ private:
     unsigned phases;
     /// tech_scenario::fingerprint() of the request's scenario; 0 = untagged
     /// (the scenario-less compile path — tech_scenario fingerprints are
-    /// never 0).
+    /// never 0). It mixes in the scenario's FDM lane count, so programs
+    /// with different clock metadata never share an entry.
     std::uint64_t scenario{0};
-    /// options_fingerprint() of the full effective compile_options the
-    /// program was built with (opt level, scenario tag, FDM lanes). Two compiles of the same network under
-    /// different options are different executable programs and must never
-    /// share an entry.
-    std::uint64_t options{0};
     friend bool operator==(const cache_key&, const cache_key&) = default;
   };
   struct cache_key_hash {
@@ -335,7 +316,6 @@ private:
   parallel_executor& executor_;
   buffer_insertion_options options_;
   cache_limits limits_;
-  compile_options compile_options_;
   mutable std::mutex mutex_;
   std::list<cache_key> lru_;  // front = most recently used
   std::unordered_map<cache_key, cache_entry, cache_key_hash> cache_;

@@ -9,7 +9,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -100,13 +99,6 @@ struct submit_options {
   /// Scenario of the request; null = untagged. Shared so fused members and
   /// the coalescing machinery never copy the scenario.
   std::shared_ptr<const tech_scenario> scenario;
-  /// Per-request compile-options override (opt level, scenario tag, FDM
-  /// lanes); nullopt = the session's defaults. The override joins the
-  /// program cache key via its options fingerprint, so the same netlist
-  /// requested at two opt levels is served by two distinct cached
-  /// programs — and requests compiled under different options never
-  /// coalesce (coalescing keys on the program pointer).
-  std::optional<compile_options> compile;
 };
 
 /// Overload load-shedding policy (set_shed_policy). When the session looks
@@ -219,11 +211,9 @@ public:
   /// 2 — enough to overlap one request's compile (cache miss) with another
   /// gulp's preparation; execution itself is asynchronous, so dispatcher
   /// count bounds preparation concurrency, not requests in flight.
-  /// `compile` selects the optimizer level every cached program is built
-  /// with (bit-identical outputs at every level; see engine/optimizer.hpp).
   explicit serving_session(parallel_executor& executor,
                            buffer_insertion_options options = {}, cache_limits limits = {},
-                           unsigned dispatchers = 0, compile_options compile = {});
+                           unsigned dispatchers = 0);
   ~serving_session();
 
   serving_session(const serving_session&) = delete;
@@ -243,13 +233,13 @@ public:
   /// costs one cache lookup: make the `shared_ptr` once and reuse it.
   ///
   /// `opts` adds priority, an absolute deadline, a per-client fairness key,
-  /// strict tail-bit validation, a compile-options override and a
-  /// technology scenario (see submit_options); defaults reproduce plain
-  /// FIFO serving. A scenario-tagged request compiles through the
-  /// scenario-tagged cache path (batch_session::compile with a scenario),
-  /// so one session serves several scenarios of the same netlist
-  /// concurrently — each scenario's requests coalesce among themselves (the
-  /// coalescing key is the compiled program) and never across scenarios.
+  /// strict tail-bit validation and a technology scenario (see
+  /// submit_options); defaults reproduce plain FIFO serving. A
+  /// scenario-tagged request compiles through the scenario-tagged cache
+  /// path (batch_session::compile with a scenario), so one session serves
+  /// several scenarios of the same netlist concurrently — each scenario's
+  /// requests coalesce among themselves (the coalescing key is the compiled
+  /// program) and never across scenarios.
   void submit(std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases,
               serving_callback on_complete, submit_options opts = {});
   /// Future form of the callback `submit` above: the result (or the

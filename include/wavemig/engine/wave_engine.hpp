@@ -209,8 +209,8 @@ struct packed_wave_result {
 /// pre-bucketed into per-clock-phase firing lists and, when every edge
 /// advances at least one level per tick, updated in place in decreasing
 /// level order instead of snapshotting the full state every tick.
-/// `fdm_lanes` scales the clock metadata as compile_options::fdm_lanes does
-/// for the packed paths; the simulated ticks are lane-independent.
+/// `fdm_lanes` scales the clock metadata as compiled_netlist's `fdm_lanes`
+/// does for the packed paths; the simulated ticks are lane-independent.
 ///
 /// Throws std::invalid_argument when `phases == 0`, the schedule does not
 /// match the network or a wave has the wrong width, and std::length_error

@@ -34,13 +34,16 @@ private:
 /// where an operand is `[!]<name>`, `0`, or `1`, and `BUF(<op>, <length>)`
 /// is a buffer run of `<length>` stages (the writer emits the two-operand
 /// form for runs longer than one). Definitions precede uses (the writer
-/// emits topological order; the reader enforces it).
+/// emits topological order; the reader enforces it). `.inputs` lines may
+/// appear anywhere: the writer emits every node at its index, a PI run as
+/// one `.inputs` line, so a read-back network has the same node order and
+/// the same `engine::network_fingerprint` as the one written.
 void write_mig(const mig_network& net, std::ostream& os, const std::string& model_name = "mig");
 void write_mig_file(const mig_network& net, const std::string& path,
                     const std::string& model_name = "mig");
 
-/// Reads the native format. Round-trips with write_mig (structure and names
-/// preserved up to majority canonicalization). Besides malformed lines, a
+/// Reads the native format. Round-trips with write_mig (structure, node
+/// order and names preserved). Besides malformed lines, a
 /// buffer run length of 0 or beyond 32 bits and runs whose unit-buffer
 /// form would exceed the 31-bit node index space are parse errors. That
 /// bound caps every level below 2^31, so nothing downstream ever levels a

@@ -30,9 +30,9 @@ namespace wavemig {
 ///   (`enforce_loss_budget`) must insert a regenerating repeater buffer,
 ///   costed by `repeater`.
 ///
-/// The scenario also tags compiled programs: `fingerprint()` flows through
-/// `compile_options` into the batch/serving cache key, so one session caches
-/// and serves different scenarios of the same netlist as distinct programs.
+/// The scenario also keys compiled programs: `fingerprint()` joins the
+/// batch/serving cache key, so one session caches and serves different
+/// scenarios of the same netlist as distinct programs.
 struct tech_scenario {
   std::string name;
   technology tech;
@@ -66,8 +66,8 @@ struct tech_scenario {
 
   /// Order-sensitive semantic fingerprint (name, constants, fan-out, lanes,
   /// loss budget, repeater cost). Never zero — zero is the "no scenario"
-  /// tag of compile_options. Scenarios that compile or cost differently
-  /// fingerprint differently (modulo 64-bit collisions).
+  /// key of the batch/serving program cache. Scenarios that compile or cost
+  /// differently fingerprint differently (modulo 64-bit collisions).
   [[nodiscard]] std::uint64_t fingerprint() const;
 
   /// Spin Wave Devices, the paper's Table I/II model: fan-out 3, no FDM,

@@ -66,24 +66,21 @@ WAVEMIG_KERNEL_CLONES void run_ops_block(
 
 }  // namespace
 
-compiled_netlist::compiled_netlist(const mig_network& net, compile_options options)
-    : compiled_netlist{net, compute_levels(net), options} {}
+compiled_netlist::compiled_netlist(const mig_network& net, unsigned fdm_lanes)
+    : compiled_netlist{net, compute_levels(net), fdm_lanes} {}
 
 compiled_netlist::compiled_netlist(const mig_network& net, const level_map& schedule,
-                                   compile_options options) {
+                                   unsigned fdm_lanes)
+    : fdm_lanes_{fdm_lanes} {
   if (schedule.level.size() != net.num_nodes()) {
     throw std::invalid_argument{"compiled_netlist: schedule does not match the network"};
   }
-  options_ = options;
   lower(net, &schedule);
-  optimize();
 }
 
-compiled_netlist compiled_netlist::comb_only(const mig_network& net, compile_options options) {
+compiled_netlist compiled_netlist::comb_only(const mig_network& net) {
   compiled_netlist compiled;
-  compiled.options_ = options;
   compiled.lower(net, nullptr);
-  compiled.optimize();
   return compiled;
 }
 

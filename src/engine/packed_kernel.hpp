@@ -17,10 +17,9 @@ namespace wavemig::engine::detail {
 
 /// Evaluates `num_ops` majority ops over W-word slot blocks. Per op, all W
 /// words of all three operands are read into locals before any target word
-/// is stored. That order is the contract slot recycling relies on (a target
-/// may overwrite one of its own operands), and it is what lets the compiler
-/// vectorize each op as whole-block loads, logic and stores without
-/// alias checks between the operand and target pointers.
+/// is stored. That order is what lets the compiler vectorize each op as
+/// whole-block loads, logic and stores without alias checks between the
+/// operand and target pointers.
 template <std::size_t W>
 inline void eval_ops(const compiled_netlist::maj_op* ops, std::size_t num_ops,
                      std::uint64_t* slots) {

@@ -326,13 +326,12 @@ std::size_t batch_session::cache_key_hash::operator()(const cache_key& k) const 
   h ^= (static_cast<std::uint64_t>(k.strategy) + 1) * 0x9e3779b97f4a7c15ull;
   h ^= (static_cast<std::uint64_t>(k.phases) + 1) * 0xbf58476d1ce4e5b9ull;
   h ^= (k.scenario + 1) * 0x94d049bb133111ebull;
-  h ^= (k.options + 1) * 0x2545f4914f6cdd1dull;
   return static_cast<std::size_t>(h ^ (h >> 32));
 }
 
 batch_session::batch_session(parallel_executor& executor, buffer_insertion_options options,
-                             cache_limits limits, compile_options compile)
-    : executor_{executor}, options_{options}, limits_{limits}, compile_options_{compile} {}
+                             cache_limits limits)
+    : executor_{executor}, options_{options}, limits_{limits} {}
 
 void batch_session::evict_to_limits() {
   while (!lru_.empty() &&
@@ -348,7 +347,7 @@ void batch_session::evict_to_limits() {
 
 std::shared_ptr<const compiled_netlist> batch_session::compile(
     const mig_network& net, unsigned phases, const tech_scenario* scenario) {
-  return compile(net, phases, network_fingerprint(net), scenario, nullptr);
+  return compile(net, phases, network_fingerprint(net), scenario);
 }
 
 std::shared_ptr<const compiled_netlist> batch_session::lookup(const cache_key& key) {
@@ -385,41 +384,31 @@ std::shared_ptr<const compiled_netlist> batch_session::insert(
 std::shared_ptr<const compiled_netlist> batch_session::compile(const mig_network& net,
                                                                unsigned phases,
                                                                std::uint64_t fingerprint,
-                                                               const tech_scenario* scenario,
-                                                               const compile_options* opts) {
-  // The effective options — scenario tag and FDM lane count applied on top
-  // of the session/request base — are computed *before* the key, so the
-  // options fingerprint in the key always describes exactly the program
-  // the entry holds.
-  compile_options effective = opts != nullptr ? *opts : compile_options_;
-  if (scenario != nullptr) {
-    effective.scenario_fingerprint = scenario->fingerprint();
-    effective.fdm_lanes = scenario->fdm_lanes;
-  }
+                                                               const tech_scenario* scenario) {
   const cache_key key{fingerprint, options_.strategy, phases,
-                      scenario != nullptr ? effective.scenario_fingerprint : 0,
-                      options_fingerprint(effective)};
+                      scenario != nullptr ? scenario->fingerprint() : 0};
   if (auto program = lookup(key)) {
     return program;
   }
 
-  // Prepare + lower + optimize outside the lock; a concurrent miss on the
-  // same key compiles the identical program and the first insert wins.
+  // Prepare + lower outside the lock; a concurrent miss on the same key
+  // compiles the identical program and the first insert wins.
   if (scenario == nullptr) {
     const auto balanced = insert_buffers(net, options_);
-    return insert(key, std::make_shared<const compiled_netlist>(balanced.net, balanced.schedule,
-                                                                effective));
+    return insert(key,
+                  std::make_shared<const compiled_netlist>(balanced.net, balanced.schedule));
   }
   // Scenario preparation runs the full pipeline — fan-out restriction at
   // the scenario's capability, loss-budget repeaters, then balancing with
   // this session's strategy/schedule — and the lowered program carries the
-  // scenario tag and FDM lane count in its compile options.
+  // scenario's FDM lane count.
   pipeline_options prep;
   prep.scenario = *scenario;
   prep.strategy = options_.strategy;
   prep.schedule = options_.schedule;
   auto prepared = wave_pipeline(net, prep);
-  return insert(key, std::make_shared<const compiled_netlist>(prepared.net, effective));
+  return insert(key,
+                std::make_shared<const compiled_netlist>(prepared.net, scenario->fdm_lanes));
 }
 
 packed_wave_result batch_session::run(const mig_network& net, const wave_batch& waves,
@@ -430,11 +419,10 @@ packed_wave_result batch_session::run(const mig_network& net, const wave_batch& 
 
 session_stats batch_session::stats() const {
   std::lock_guard<std::mutex> lock{mutex_};
-  session_stats s{hits_, misses_, evictions_, cache_.size(), bytes_, 0, 0, 0};
+  session_stats s{hits_, misses_, evictions_, cache_.size(), bytes_, 0, 0};
   for (const auto& [key, entry] : cache_) {
     s.comb_ops += entry.program->num_comb_ops();
     s.comb_slots += entry.program->comb_slot_count();
-    s.comb_peak_live += entry.program->opt_stats().peak_live_slots;
   }
   return s;
 }

@@ -13,9 +13,9 @@ namespace wavemig::engine {
 
 serving_session::serving_session(parallel_executor& executor,
                                  buffer_insertion_options options, cache_limits limits,
-                                 unsigned dispatchers, compile_options compile)
+                                 unsigned dispatchers)
     : executor_{executor},
-      session_{executor, options, limits, compile},
+      session_{executor, options, limits},
       max_inflight_units_{std::max<std::size_t>(4, 4 * executor.num_threads())} {
   if (dispatchers == 0) {
     dispatchers = 2;
@@ -359,11 +359,8 @@ void serving_session::process_gulp(std::vector<request> gulp) {
       // Scenario-tagged requests compile through the scenario cache path;
       // the distinct program pointer then keeps them from coalescing with
       // untagged (or differently-tagged) requests against the same network.
-      // A per-request compile override (req.opts.compile) keys the cache
-      // the same way.
       auto program = session_.compile(*req.net, req.phases, fingerprint_of(req.net),
-                                      req.opts.scenario.get(),
-                                      req.opts.compile ? &*req.opts.compile : nullptr);
+                                      req.opts.scenario.get());
       validate_packed_run(*program, req.waves.num_pis(), req.phases, "serving_session");
       const std::size_t chunks = req.waves.num_chunks();
       ready.push_back({std::move(req), std::move(program), chunks});

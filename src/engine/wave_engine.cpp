@@ -20,11 +20,11 @@ template <typename Result>
 void fill_clock_metrics(Result& result, const compiled_netlist& net, unsigned phases,
                         std::size_t num_waves) {
   const std::uint32_t depth = net.depth();
-  // FDM scenarios (compile_options::fdm_lanes > 1) carry several logical
+  // FDM scenarios (compiled_netlist::fdm_lanes() > 1) carry several logical
   // waves per physical conduit slot: wave w occupies slot w / lanes, and
   // every physical wave in flight holds `lanes` logical ones. Metadata only
   // — computed words are lane-independent.
-  const unsigned lanes = std::max(1u, net.options().fdm_lanes);
+  const unsigned lanes = std::max(1u, net.fdm_lanes());
   result.initiation_interval = phases;
   result.latency_ticks = depth > 0 ? depth : 1;
   result.waves_in_flight = std::max<std::uint32_t>(1, (depth + phases - 1) / phases) * lanes;
@@ -374,7 +374,7 @@ wave_run_result run_waves(const mig_network& net, const level_map& schedule,
   }
   // The clock metadata — depth, PO levels, edge spans — is the packed
   // paths' own (which also checks the schedule against the network).
-  const compiled_netlist clock{net, schedule, compile_options{.fdm_lanes = fdm_lanes}};
+  const compiled_netlist clock{net, schedule, fdm_lanes};
 
   wave_run_result result;
   fill_clock_metrics(result, clock, phases, waves.size());

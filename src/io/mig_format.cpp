@@ -32,13 +32,21 @@ std::string operand(const mig_network& net, signal s) {
 }  // namespace
 
 void write_mig(const mig_network& net, std::ostream& os, const std::string& model_name) {
-  os << "# wavemig netlist\n.model " << model_name << "\n.inputs";
-  for (std::size_t i = 0; i < net.num_pis(); ++i) {
-    os << ' ' << net.pi_name(i);
-  }
-  os << '\n';
+  os << "# wavemig netlist\n.model " << model_name << '\n';
 
+  // PIs are written at their node positions, one `.inputs` line per run of
+  // consecutive PIs, so the reader rebuilds every node at its own index.
+  bool in_inputs = false;
   net.foreach_node([&](node_index n) {
+    if (net.is_pi(n)) {
+      os << (in_inputs ? " " : ".inputs ") << node_name(net, n);
+      in_inputs = true;
+      return;
+    }
+    if (in_inputs) {
+      os << '\n';
+      in_inputs = false;
+    }
     switch (net.kind(n)) {
       case node_kind::majority: {
         const auto fis = net.fanins(n);
@@ -60,6 +68,9 @@ void write_mig(const mig_network& net, std::ostream& os, const std::string& mode
         break;
     }
   });
+  if (in_inputs) {
+    os << '\n';
+  }
 
   for (const auto& po : net.pos()) {
     os << ".output " << po.name << " = " << operand(net, po.driver) << '\n';

@@ -174,6 +174,18 @@ TEST(buffer_runs, flow_outputs_hold_far_fewer_nodes_than_their_chains) {
   EXPECT_GT(unit_nodes, 8 * nodes);
 }
 
+TEST(buffer_runs, flow_outputs_round_trip_through_mig_with_their_fingerprint) {
+  // A wire client registers .mig text and then runs against the
+  // fingerprint it computed in process, so the read-back network must be
+  // the same network node for node.
+  for (const auto& c : flow_cases()) {
+    std::stringstream text;
+    io::write_mig(c.net, text);
+    const auto back = io::read_mig(text);
+    EXPECT_EQ(engine::network_fingerprint(back), engine::network_fingerprint(c.net)) << c.name;
+  }
+}
+
 TEST(buffer_runs, flow_outputs_measure_as_their_unit_chains) {
   for (const auto& c : flow_cases()) {
     const auto expanded = expand_buffer_runs(c.net);

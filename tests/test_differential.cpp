@@ -58,11 +58,11 @@ struct diff_case {
   std::size_t num_waves;
 };
 
-/// Runs one configuration through all four paths — at every optimizer
-/// level and kernel width — and cross-checks them. The serving path
-/// receives the *raw* network (it balances with the same options itself),
-/// so the check also covers the session's balance+compile; it runs at the
-/// highest opt level, the configuration production sessions would use.
+/// Runs one configuration through all four paths — and, on the packed
+/// path, every kernel width against the generic evaluator — and
+/// cross-checks them. The serving path receives the *raw* network (it
+/// balances with the same options itself), so the check also covers the
+/// session's balance+compile.
 void expect_paths_agree(const diff_case& c, engine::parallel_executor& executor,
                         const std::string& what) {
   const auto net = gen::random_mig(c.profile);
@@ -77,9 +77,8 @@ void expect_paths_agree(const diff_case& c, engine::parallel_executor& executor,
   const auto packed = engine::run_waves_packed(compiled, batch, c.phases);
   // Path 3 — sharded parallel executor.
   const auto parallel = engine::run_waves_parallel(compiled, batch, c.phases, executor);
-  // Path 4 — async serving session (future API, bounded cache, optimizer on).
-  engine::serving_session serving{executor, c.options, {.max_entries = 2}, 0,
-                                  {.opt_level = 2}};
+  // Path 4 — async serving session (future API, bounded cache).
+  engine::serving_session serving{executor, c.options, {.max_entries = 2}};
   const auto async =
       serving.submit(std::make_shared<const mig_network>(net), batch, c.phases).get();
 
@@ -96,35 +95,24 @@ void expect_paths_agree(const diff_case& c, engine::parallel_executor& executor,
   EXPECT_EQ(async.ticks, packed.ticks) << what;
   EXPECT_EQ(async.initiation_interval, packed.initiation_interval) << what;
 
-  // Optimizer levels: every level's program must produce the same packed
-  // words through both the multi-word kernel and the generic evaluator
-  // driven chunk by chunk.
-  for (const unsigned level : {1u, 2u}) {
-    const engine::compiled_netlist opt{balanced.net, balanced.schedule,
-                                       {.opt_level = level}};
-    const auto opt_packed = engine::run_waves_packed(opt, batch, c.phases);
-    EXPECT_EQ(opt_packed.words, packed.words) << what << ": opt level " << level;
-
-    // The generic per-chunk evaluator on std::uint64_t is the
-    // layout-independent reference: it shares no code with the packed
-    // kernel. Front-end results mask the bits above num_waves in the last
-    // chunk; the raw evaluator does not — mask here to compare.
-    const std::size_t chunks = batch.num_chunks();
-    const std::size_t tail = batch.num_waves() % 64;
-    const std::uint64_t tail_mask =
-        tail == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << tail) - 1;
-    std::vector<std::uint64_t> single_planes(chunks * opt.num_pos());
-    std::vector<std::uint64_t> slots;
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-      opt.eval([&](std::uint32_t i) { return batch.plane(i)[chunk]; }, std::uint64_t{0},
-               slots);
-      const std::uint64_t mask = chunk + 1 == chunks ? tail_mask : ~std::uint64_t{0};
-      for (std::size_t p = 0; p < opt.num_pos(); ++p) {
-        single_planes[p * chunks + chunk] = opt.po_value(slots, p) & mask;
-      }
+  // The generic per-chunk evaluator on std::uint64_t is the
+  // layout-independent reference: it shares no code with the packed
+  // kernel. Front-end results mask the bits above num_waves in the last
+  // chunk; the raw evaluator does not — mask here to compare.
+  const std::size_t chunks = batch.num_chunks();
+  const std::size_t tail = batch.num_waves() % 64;
+  const std::uint64_t tail_mask = tail == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << tail) - 1;
+  std::vector<std::uint64_t> single_planes(chunks * compiled.num_pos());
+  std::vector<std::uint64_t> slots;
+  for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+    compiled.eval([&](std::uint32_t i) { return batch.plane(i)[chunk]; }, std::uint64_t{0},
+                  slots);
+    const std::uint64_t mask = chunk + 1 == chunks ? tail_mask : ~std::uint64_t{0};
+    for (std::size_t p = 0; p < compiled.num_pos(); ++p) {
+      single_planes[p * chunks + chunk] = compiled.po_value(slots, p) & mask;
     }
-    EXPECT_EQ(single_planes, packed.words) << what << ": per-chunk eval, opt level " << level;
   }
+  EXPECT_EQ(single_planes, packed.words) << what << ": per-chunk eval";
 }
 
 TEST(differential, four_paths_agree_across_phases_strategies_and_wave_counts) {
@@ -303,7 +291,7 @@ TEST(differential, coalesced_serving_and_direct_streams_match_packed) {
 
 TEST(differential, submit_packed_agrees_with_scalar_run_waves) {
   engine::parallel_executor executor{4};
-  engine::serving_session serving{executor, {}, {}, 0, {.opt_level = 2}};
+  engine::serving_session serving{executor};
 
   for (const std::size_t num_waves : {1ull, 63ull, 64ull, 65ull, 257ull, 511ull}) {
     const auto net = gen::random_mig({12, 140, 0.5, 9, 5000 + num_waves});
@@ -351,7 +339,7 @@ TEST(differential, submit_packed_agrees_with_scalar_run_waves) {
 /// compressed values.
 TEST(differential, every_builtin_scenario_agrees_across_all_engine_paths) {
   engine::parallel_executor executor{4};
-  engine::serving_session serving{executor, {}, {}, 0, {.opt_level = 2}};
+  engine::serving_session serving{executor};
   engine::batch_session session{executor};
 
   for (const auto& name : tech_scenario::names()) {

@@ -287,39 +287,28 @@ TEST(packed_kernel, every_block_width_matches_per_chunk_eval) {
   // packed kernel.
   for (const std::uint64_t seed : {2024ull, 77ull}) {
     const auto balanced = insert_buffers(gen::random_mig({12, 150, 0.5, 10, seed})).net;
-    for (const unsigned opt : {0u, 2u}) {
-      const engine::compiled_netlist compiled{balanced, {.opt_level = opt}};
-      if (opt == 2) {
-        // Slot recycling lets an op overwrite one of its own operands; the
-        // sweep must exercise that in-place case.
-        const auto& ops = compiled.comb_ops();
-        EXPECT_TRUE(std::any_of(ops.begin(), ops.end(), [](const auto& o) {
-          return o.target == o.a >> 1 || o.target == o.b >> 1 || o.target == o.c >> 1;
-        })) << "seed " << seed;
+    const engine::compiled_netlist compiled{balanced};
+    const std::size_t num_pis = compiled.num_pis();
+    const std::size_t num_pos = compiled.num_pos();
+    std::mt19937_64 rng{seed * 31};
+    std::vector<std::uint64_t> scratch;
+    std::vector<std::uint64_t> slots;
+    for (std::size_t num_chunks = 1; num_chunks <= 17; ++num_chunks) {
+      const std::size_t pi_stride = num_chunks + 3;
+      const std::size_t po_stride = num_chunks + 1;
+      std::vector<std::uint64_t> pis(num_pis * pi_stride);
+      for (auto& w : pis) {
+        w = rng();
       }
-      const std::size_t num_pis = compiled.num_pis();
-      const std::size_t num_pos = compiled.num_pos();
-      std::mt19937_64 rng{seed * 31 + opt};
-      std::vector<std::uint64_t> scratch;
-      std::vector<std::uint64_t> slots;
-      for (std::size_t num_chunks = 1; num_chunks <= 17; ++num_chunks) {
-        const std::size_t pi_stride = num_chunks + 3;
-        const std::size_t po_stride = num_chunks + 1;
-        std::vector<std::uint64_t> pis(num_pis * pi_stride);
-        for (auto& w : pis) {
-          w = rng();
-        }
-        std::vector<std::uint64_t> pos(num_pos * po_stride, 0);
-        engine::eval_packed_planes(compiled, {pis.data(), pi_stride, num_pis, num_chunks},
-                                   {pos.data(), po_stride, num_pos, num_chunks}, scratch);
-        for (std::size_t c = 0; c < num_chunks; ++c) {
-          compiled.eval([&](std::uint32_t i) { return pis[i * pi_stride + c]; },
-                        std::uint64_t{0}, slots);
-          for (std::size_t p = 0; p < num_pos; ++p) {
-            ASSERT_EQ(pos[p * po_stride + c], compiled.po_value(slots, p))
-                << "seed " << seed << ", opt " << opt << ", " << num_chunks << " chunks, chunk "
-                << c << ", po " << p;
-          }
+      std::vector<std::uint64_t> pos(num_pos * po_stride, 0);
+      engine::eval_packed_planes(compiled, {pis.data(), pi_stride, num_pis, num_chunks},
+                                 {pos.data(), po_stride, num_pos, num_chunks}, scratch);
+      for (std::size_t c = 0; c < num_chunks; ++c) {
+        compiled.eval([&](std::uint32_t i) { return pis[i * pi_stride + c]; }, std::uint64_t{0},
+                      slots);
+        for (std::size_t p = 0; p < num_pos; ++p) {
+          ASSERT_EQ(pos[p * po_stride + c], compiled.po_value(slots, p))
+              << "seed " << seed << ", " << num_chunks << " chunks, chunk " << c << ", po " << p;
         }
       }
     }

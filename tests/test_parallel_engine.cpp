@@ -272,6 +272,29 @@ TEST(batch_session, caches_compiled_netlists_per_network_and_phases) {
                        "session vs packed (mult)");
 }
 
+TEST(batch_session, stats_report_resident_op_and_slot_counts) {
+  engine::parallel_executor executor{2};
+  engine::batch_session session{executor, {}, {.max_entries = 1}};
+  const auto first = gen::random_mig({10, 120, 0.5, 8, 42});
+  const auto second = gen::random_mig({12, 200, 0.5, 8, 99});
+
+  const auto first_program = session.compile(first, 3);
+  auto stats = session.stats();
+  ASSERT_EQ(stats.entries, 1u);
+  EXPECT_GT(stats.comb_ops, 0u);
+  EXPECT_EQ(stats.comb_ops, first_program->num_comb_ops());
+  EXPECT_EQ(stats.comb_slots, first_program->comb_slot_count());
+
+  // The totals follow the resident programs: evicting the first program
+  // drops its ops and slots.
+  const auto second_program = session.compile(second, 3);
+  stats = session.stats();
+  ASSERT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.comb_ops, second_program->num_comb_ops());
+  EXPECT_EQ(stats.comb_slots, second_program->comb_slot_count());
+}
+
 TEST(batch_session, concurrent_sessions_share_one_executor) {
   engine::parallel_executor executor{4};
   engine::batch_session session{executor};

@@ -345,8 +345,7 @@ TEST(fdm_metadata, lanes_compress_ticks_and_multiply_waves_in_flight) {
   const auto prepared = wave_pipeline(gen::random_mig({10, 150, 0.5, 8, 808}), opts).net;
 
   const engine::compiled_netlist plain{prepared};
-  const engine::compiled_netlist fdm{prepared,
-                                     engine::compile_options{.fdm_lanes = 4}};
+  const engine::compiled_netlist fdm{prepared, 4};
 
   std::mt19937_64 rng{505};
   std::vector<std::vector<bool>> waves(130, std::vector<bool>(prepared.num_pis()));
@@ -399,11 +398,11 @@ TEST(scenario_cache, same_netlist_different_scenarios_are_distinct_programs) {
   EXPECT_EQ(session.stats().hits, 1u);
   EXPECT_EQ(session.stats().entries, 4u);
 
-  // The tag and lanes are baked into the program.
-  EXPECT_EQ(untagged->options().scenario_fingerprint, 0u);
-  EXPECT_EQ(swd->options().scenario_fingerprint, tech_scenario::swd().fingerprint());
-  EXPECT_EQ(fdm->options().fdm_lanes, 4u);
-  EXPECT_EQ(swd->options().fdm_lanes, 1u);
+  // Each program carries its scenario's FDM lane count.
+  EXPECT_EQ(untagged->fdm_lanes(), 1u);
+  EXPECT_EQ(swd->fdm_lanes(), 1u);
+  EXPECT_EQ(qca->fdm_lanes(), 1u);
+  EXPECT_EQ(fdm->fdm_lanes(), 4u);
 }
 
 TEST(scenario_cache, scenario_runs_are_bit_identical_to_their_prepared_reference) {
